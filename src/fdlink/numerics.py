@@ -1,7 +1,8 @@
 """Thin linear-algebra wrappers pinning the conventions used everywhere else.
 
-All FFTs are unitary (1/sqrt(N) both ways), singular values come back
-descending, and eigenpairs of general matrices come back sorted by magnitude.
+All FFTs are unitary (1/sqrt(N) both ways), singular values and Hermitian
+eigenvalues come back descending, and eigenpairs of general matrices come
+back sorted by magnitude.
 LAPACK failures surface as NumericalError instead of half-filled arrays.
 """
 
@@ -31,6 +32,21 @@ def svd(a):
         raise NumericalError(f"svd failed to converge: {exc}") from None
     _check_finite("svd", u, s)
     return u, s, np.swapaxes(vh, -2, -1).conj()
+
+
+def eigh(a):
+    """Eigendecomposition of a Hermitian matrix, eigenpairs descending.
+
+    Returns (w, v) with a = v @ diag(w) @ v.conj().T, w real and descending
+    and v holding orthonormal eigenvectors as columns. Only the lower
+    triangle of a is read. Batches over leading axes like np.linalg.eigh.
+    """
+    try:
+        w, v = np.linalg.eigh(np.asarray(a))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigh failed to converge: {exc}") from None
+    _check_finite("eigh", w, v)
+    return w[..., ::-1], v[..., ::-1]
 
 
 def eig_general(a):

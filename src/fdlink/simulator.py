@@ -21,8 +21,9 @@ from .config_units import (Rng, SystemConfig, ConfigError, complex_normal,
                            dbm_to_linear, linear_to_db, linear_to_dbm, preset)
 from .waveform import draw_symbols, ofdm_modulate, ofdm_demodulate, frame_power
 from .impairments import (AdcModel, adc_full_scale, adc_quantize,
-                          check_saturation, derive_gain_matrices,
-                          make_impairment_model, tx_chain)
+                          build_augmented_vector, check_saturation,
+                          derive_gain_matrices, make_impairment_model,
+                          tx_chain)
 from .channel import (apply_channel, estimate_with_mse, gen_rayleigh,
                       gen_rician_si, to_freq)
 from .analog_canceller import build_canceller, quantize_taps
@@ -175,9 +176,9 @@ def run_frame(cfg, rng, stages="full", run_id=0, sweep_point=""):
     fs_w = adc_full_scale(adc, y_b)
     y_q = adc_quantize(y_b, adc, fs_w)
 
-    psi = build_design_matrix(x_b, cfg.l_si)
-    state = tsvd_estimate(psi[:, :n_train], y_q[:, :n_train], cfg.sigma_b_w)
-    d_corr = cancel_signal(state, psi)
+    psi = build_design_matrix(x_b[:, :n_train], cfg.l_si)
+    state = tsvd_estimate(psi, y_q[:, :n_train], cfg.sigma_b_w)
+    d_corr = cancel_signal(state, build_augmented_vector(x_b))
     r_post = y_q + d_corr
 
     # Shadow SI-only measurement: the same frame with the uplink muted,
@@ -195,9 +196,8 @@ def run_frame(cfg, rng, stages="full", run_id=0, sweep_point=""):
 
     # linear-taps-only baseline canceller on the same training data
     lin_mask = linear_basis_mask(cfg.n_tx_b, cfg.l_si)
-    state_lin = tsvd_estimate(psi[lin_mask][:, :n_train],
-                              y_q[:, :n_train], cfg.sigma_b_w)
-    after_lin = mid + cancel_signal(state_lin, psi[lin_mask])[:, pay]
+    state_lin = tsvd_estimate(psi[lin_mask], y_q[:, :n_train], cfg.sigma_b_w)
+    after_lin = mid + cancel_signal(state_lin, x_b)[:, pay]
     rec.linear_supp_db = _per_antenna_db(frame_power(mid),
                                          frame_power(after_lin))
 

@@ -6,7 +6,6 @@ import pytest
 from fdlink.config_units import Rng, complex_normal
 from fdlink.digital_canceller import (DigitalCancellerState,
                                       build_design_matrix, cancel_signal,
-                                      digital_cancellation_db,
                                       linear_basis_mask, tsvd_estimate)
 from fdlink.impairments import build_augmented_vector
 
@@ -27,6 +26,8 @@ def test_design_matrix_shape_and_delay_structure():
         block = psi[l * 18:(l + 1) * 18]
         assert np.array_equal(block[:, l:], base[:, :40 - l])
         assert np.all(block[:, :l] == 0)
+    # delays look only backward: a training window is a column prefix
+    assert np.array_equal(build_design_matrix(x[:, :25], 4), psi[:, :25])
 
 
 def test_design_matrix_monomial_rows():
@@ -46,6 +47,23 @@ def test_linear_basis_mask():
     assert np.array_equal(idx, np.r_[0:4, 24:28, 48:52])
 
 
+@pytest.mark.parametrize("linear_only", [False, True])
+def test_cancel_signal_filter_equals_dense_design_matrix(linear_only):
+    gen = Rng(9).generator
+    n_tx, l_si = 3, 4
+    x = _frame(gen, n_tx=n_tx, t=90)
+    psi = build_design_matrix(x, l_si)
+    u = build_augmented_vector(x)
+    if linear_only:
+        psi, u = psi[linear_basis_mask(n_tx, l_si)], x
+    theta = complex_normal(gen, (2, psi.shape[0]))
+    state = DigitalCancellerState(theta, psi.shape[0], np.zeros(2),
+                                  np.ones(psi.shape[0]))
+    want = -(theta @ psi)
+    got = cancel_signal(state, u)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).max()
+
+
 # --- TSVD fit ----------------------------------------------------------------
 
 def test_noiseless_recovery_cancels_exactly():
@@ -55,7 +73,7 @@ def test_noiseless_recovery_cancels_exactly():
     theta_true = complex_normal(gen, (3, psi.shape[0]))
     y = theta_true @ psi
     state = tsvd_estimate(psi, y, 0.0)
-    resid = y + cancel_signal(state, psi)
+    resid = y + cancel_signal(state, build_augmented_vector(x))
     assert np.max(np.abs(resid)) < 1e-10 * np.max(np.abs(y))
     rel = state.residual_power_per_antenna / np.mean(np.abs(y) ** 2, axis=1)
     assert np.all(rel < 1e-12)
@@ -71,6 +89,22 @@ def test_full_rank_equals_minimum_norm_pinv():
     assert np.allclose(state.theta, want, atol=1e-8 * np.abs(want).max())
 
 
+def test_rank_deficient_equals_truncated_pinv():
+    # antenna 1 is a scaled copy of antenna 0 and antenna 3 is dead, so half
+    # the rows of psi are dependent or zero
+    gen = Rng(8).generator
+    x = _frame(gen, n_tx=4, t=200)
+    x[1] = (0.5 - 2.0j) * x[0]
+    x[3] = 0.0
+    psi = build_design_matrix(x, 2)
+    y = complex_normal(gen, (3, 200))
+    state = tsvd_estimate(psi, y, 0.0)
+    want = y @ np.linalg.pinv(psi, rcond=200 * np.finfo(float).eps)
+    assert state.rank_used == np.linalg.matrix_rank(psi) == 24
+    assert np.all(np.isfinite(state.theta))
+    assert np.max(np.abs(state.theta - want)) <= 1e-8 * np.abs(want).max()
+
+
 def test_zero_design_matrix_guard():
     psi = np.zeros((12, 30), dtype=complex)
     y = complex_normal(Rng(3).generator, (2, 30))
@@ -79,7 +113,8 @@ def test_zero_design_matrix_guard():
     assert np.all(state.theta == 0)
     assert np.allclose(state.residual_power_per_antenna,
                        np.mean(np.abs(y) ** 2, axis=1))
-    assert np.all(cancel_signal(state, psi) == 0)
+    u = build_augmented_vector(np.zeros((2, 30), dtype=complex))
+    assert np.all(cancel_signal(state, u) == 0)
 
 
 def test_rank_shrinks_as_noise_floor_rises():
@@ -148,11 +183,3 @@ def test_state_fields():
     assert state.singular_values.ndim == 1
     assert np.all(np.diff(state.singular_values) <= 0)
     assert 1 <= state.rank_used <= 6
-
-
-def test_digital_cancellation_db():
-    before = np.full((1, 8), 1.0 + 0.0j)
-    after = np.full((1, 8), 0.01 + 0.0j)
-    assert digital_cancellation_db(before, after) == pytest.approx(40.0)
-    zero = np.zeros((1, 8), dtype=complex)
-    assert digital_cancellation_db(before, zero) == 400.0

@@ -33,6 +33,24 @@ def test_svd_nonfinite_raises():
         numerics.svd(a)
 
 
+def test_eigh_reconstructs_and_orders():
+    gen = np.random.default_rng(17)
+    b = gen.standard_normal((6, 4)) + 1j * gen.standard_normal((6, 4))
+    a = b @ b.conj().T                    # Hermitian, rank 4
+    w, v = numerics.eigh(a)
+    assert w.shape == (6,) and v.shape == (6, 6)
+    assert np.all(np.diff(w) <= 0)
+    assert np.allclose((v * w) @ v.conj().T, a, atol=1e-12)
+    assert np.allclose(v.conj().T @ v, np.eye(6), atol=1e-12)
+    assert np.allclose(w[:4], np.linalg.svd(b, compute_uv=False) ** 2)
+
+
+def test_eigh_nonfinite_raises():
+    a = np.array([[1.0, np.nan], [np.nan, 1.0]])
+    with pytest.raises(numerics.NumericalError):
+        numerics.eigh(a)
+
+
 def test_eig_general_sorted_and_consistent():
     gen = np.random.default_rng(11)
     a = gen.standard_normal((5, 5)) + 1j * gen.standard_normal((5, 5))
