@@ -35,13 +35,6 @@ class DlSolution:
     est_residual_w: np.ndarray # per-antenna estimated residual SI, watts
 
 
-@dataclass
-class UlSolution:
-    v: np.ndarray              # (nc, n_tx_m2, d_m2)
-    u: np.ndarray              # (nc, n_rx_b, d_m2)
-    g1: float
-
-
 class DlInfeasibleError(Exception):
     """No stream count can keep the estimated residual SI under threshold."""
 

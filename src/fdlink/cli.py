@@ -5,8 +5,8 @@ Subcommands:
   sweep      a scenario with an explicit sweep list (same file format)
   reproduce  the preset campaigns behind the reference figures
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure in more
-than 10% of the Monte Carlo runs.
+Exit codes: 0 success, 2 configuration error, 3 more than 10% of the Monte
+Carlo runs failed (every subcommand applies the same budget).
 """
 
 import argparse
@@ -90,14 +90,14 @@ def main(argv=None):
                     spec.runs = args.runs
             return _run_scenario(spec, args.out, args.workers)
         if args.command == "reproduce":
-            written, failures = reproduce(args.figure, args.out,
-                                          runs=args.runs,
-                                          workers=args.workers)
+            written, failures, attempted = reproduce(
+                args.figure, args.out, runs=args.runs, workers=args.workers)
             for p in written:
                 print(f"wrote {p}")
             if failures:
                 print(f"{failures} runs failed numerically", file=sys.stderr)
-            return 0
+            over = attempted and failures / attempted > FAILURE_BUDGET
+            return 3 if over else 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

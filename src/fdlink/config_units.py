@@ -280,10 +280,6 @@ class SystemConfig:
         return replace(self, **kw)
 
 
-def default_config(**overrides):
-    return SystemConfig(**overrides)
-
-
 def preset(name, **overrides):
     """Named waveform presets.
 

@@ -6,7 +6,16 @@ back sorted by magnitude.
 LAPACK failures surface as NumericalError instead of half-filled arrays.
 """
 
+import ctypes
+
 import numpy as np
+
+# Thread-count setters across OpenBLAS builds: plain, 64-bit-integer suffixed,
+# and the scipy-openblas wheels that numpy ships.
+_OPENBLAS_SET_THREADS = ("openblas_set_num_threads",
+                         "openblas_set_num_threads64_",
+                         "scipy_openblas_set_num_threads64_",
+                         "scipy_openblas_set_num_threads")
 
 
 class NumericalError(Exception):
@@ -74,3 +83,27 @@ def fft(x, axis=-1):
 def ifft(x, axis=-1):
     """Unitary inverse DFT along one axis."""
     return np.fft.ifft(x, axis=axis, norm="ortho")
+
+
+def limit_blas_threads(n):
+    """Cap the OpenBLAS that numpy loaded at n threads in this process.
+
+    Meant as a pool initializer: a forked worker inherits its parent's
+    multithreaded BLAS, and several such workers oversubscribe the CPUs.
+    The library is found in /proc/self/maps. Returns False, changing
+    nothing, when no OpenBLAS with a known setter is mapped.
+    """
+    try:
+        with open("/proc/self/maps") as f:
+            path = next((line.split(None, 5)[5].strip() for line in f
+                         if "openblas" in line), None)
+        lib = ctypes.CDLL(path) if path else None
+    except OSError:
+        return False
+    for name in _OPENBLAS_SET_THREADS:
+        if hasattr(lib, name):
+            set_threads = getattr(lib, name)
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            set_threads(n)
+            return True
+    return False

@@ -391,8 +391,8 @@ def _mc_task(args):
     try:
         return run_frame(cfg, rng, stages=stages, run_id=run_idx,
                          sweep_point=label)
-    except numerics.NumericalError as exc:
-        return ("failure", label, run_idx, str(exc))
+    except Exception as exc:       # one bad run must not end the campaign
+        return ("failure", label, run_idx, f"{type(exc).__name__}: {exc}")
 
 
 def monte_carlo(spec, workers=1):
@@ -407,8 +407,11 @@ def monte_carlo(spec, workers=1):
             tasks.append((cfg, spec.rng_seed, point_idx, run_idx,
                           spec.stages, label))
     if workers > 1:
+        # forked workers inherit the parent's multithreaded BLAS; each caps
+        # its own at one thread so the pool does not oversubscribe the CPUs
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers) as pool:
+        with ctx.Pool(workers, initializer=numerics.limit_blas_threads,
+                      initargs=(1,)) as pool:
             results = pool.map(_mc_task, tasks, chunksize=1)
     else:
         results = [_mc_task(t) for t in tasks]
@@ -579,7 +582,9 @@ def figure_scenarios(fig, runs=None):
 
 
 def reproduce(fig, out_dir, runs=None, workers=1):
-    """Run the campaigns behind one reference figure; write plot CSVs."""
+    """Run the campaigns behind one reference figure; write plot CSVs.
+
+    Returns (written paths, failed runs, attempted runs)."""
     items = figure_scenarios(fig, runs=runs)
     os.makedirs(out_dir, exist_ok=True)
     written = []
@@ -603,4 +608,5 @@ def reproduce(fig, out_dir, runs=None, workers=1):
                     written.append(write_psd_csv(
                         os.path.join(out_dir, f"{fig}_{which}.csv"), psd, cfg))
     failures = sum(len(r.failures) for r in results.values())
-    return written, failures
+    attempted = failures + sum(len(r.records) for r in results.values())
+    return written, failures, attempted

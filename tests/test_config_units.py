@@ -6,8 +6,7 @@ from hypothesis import given, strategies as st
 
 from fdlink.config_units import (ConfigError, Rng, SystemConfig,
                                  complex_normal, db_to_linear, dbm_to_linear,
-                                 default_config, linear_to_db, linear_to_dbm,
-                                 preset)
+                                 linear_to_db, linear_to_dbm, preset)
 
 
 # --- unit helpers ----------------------------------------------------------
@@ -117,10 +116,6 @@ def test_override_returns_new_frozen_config():
     assert hot.p_b_dbm == 20.0 and cfg.p_b_dbm == 40.0
     with pytest.raises(Exception):
         cfg.p_b_dbm = 0.0                               # frozen dataclass
-
-
-def test_default_config_helper():
-    assert default_config(seed=9).seed == 9
 
 
 def test_presets():

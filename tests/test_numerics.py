@@ -1,9 +1,15 @@
-"""Conventions of the linear-algebra wrappers: ordering, shapes, failures."""
+"""Conventions of the linear-algebra wrappers: ordering, shapes, failures,
+and the per-worker BLAS thread cap."""
+
+import ctypes
+import multiprocessing
 
 import numpy as np
 import pytest
 
 from fdlink import numerics
+from fdlink.config_units import SystemConfig
+from fdlink.simulator import ScenarioSpec, monte_carlo
 
 
 def test_svd_reconstructs_and_orders():
@@ -86,3 +92,50 @@ def test_fft_axis_argument():
     x = gen.standard_normal((3, 16, 2))
     xf = numerics.fft(x, axis=1)
     assert np.allclose(xf, np.fft.fft(x, axis=1, norm="ortho"))
+
+
+# --- BLAS thread cap -------------------------------------------------------
+# limit_blas_threads is never called in the test process itself: only in
+# forked pool workers, whose BLAS state dies with them.
+
+def _openblas_thread_count():
+    """This process's OpenBLAS thread count, or None if none is mapped."""
+    with open("/proc/self/maps") as f:
+        path = next((line.split(None, 5)[5].strip() for line in f
+                     if "openblas" in line), None)
+    if path is None:
+        return None
+    lib = ctypes.CDLL(path)
+    for name in ("openblas_get_num_threads", "openblas_get_num_threads64_",
+                 "scipy_openblas_get_num_threads64_",
+                 "scipy_openblas_get_num_threads"):
+        if hasattr(lib, name):
+            get_threads = getattr(lib, name)
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            return get_threads()
+    return None
+
+
+def _worker_thread_count(_):
+    return _openblas_thread_count()
+
+
+def test_limit_blas_threads_caps_forked_worker():
+    if _openblas_thread_count() is None:
+        pytest.skip("no OpenBLAS mapped")
+    ctx = multiprocessing.get_context("fork")
+    with ctx.Pool(2, initializer=numerics.limit_blas_threads,
+                  initargs=(1,)) as pool:
+        counts = pool.map(_worker_thread_count, range(4), chunksize=1)
+    assert counts == [1, 1, 1, 1]
+
+
+def test_monte_carlo_pool_leaves_parent_blas_alone():
+    before = _openblas_thread_count()
+    if before is None:
+        pytest.skip("no OpenBLAS mapped")
+    cfg = SystemConfig().override(frame_symbols=12, train_symbols=4)
+    spec = ScenarioSpec(name="t", config=cfg, runs=2, stages="analog")
+    result = monte_carlo(spec, workers=2)
+    assert len(result.records) == 2
+    assert _openblas_thread_count() == before

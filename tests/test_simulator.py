@@ -161,6 +161,23 @@ def test_monte_carlo_counts_numerical_failures(monkeypatch):
     assert result.aggregate() == {"base": {}}
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_monte_carlo_survives_non_numerical_failure(monkeypatch, workers):
+    real_run_frame = simulator.run_frame
+
+    def flaky(cfg, rng, stages="full", run_id=0, sweep_point=""):
+        if run_id == 1:
+            raise ValueError("synthetic bug")
+        return real_run_frame(cfg, rng, stages=stages, run_id=run_id,
+                              sweep_point=sweep_point)
+    monkeypatch.setattr(simulator, "run_frame", flaky)
+    spec = ScenarioSpec(name="t", config=_small_cfg(), runs=3,
+                        stages="analog")
+    result = monte_carlo(spec, workers=workers)   # forked workers see flaky
+    assert [r.run_id for r in result.records] == [0, 2]
+    assert result.failures == [("base", 1, "ValueError: synthetic bug")]
+
+
 def test_aggregate_and_curve_extraction():
     spec = ScenarioSpec(name="t", config=_small_cfg(),
                         sweep=[{"p_b_dbm": 20.0}, {"p_b_dbm": 40.0}],
@@ -206,8 +223,8 @@ def test_figure_scenarios_cover_all_figures():
 
 
 def test_reproduce_writes_curve_files(tmp_path):
-    written, failures = reproduce("fig6", tmp_path / "r", runs=1)
-    assert failures == 0
+    written, failures, attempted = reproduce("fig6", tmp_path / "r", runs=1)
+    assert failures == 0 and attempted == 5
     names = {os.path.basename(p) for p in written}
     assert "fig6_tsvd_digital_supp_db.csv" in names
     assert "fig6_linear_linear_supp_db.csv" in names
@@ -280,6 +297,16 @@ def test_cli_failure_exit_code(tmp_path, monkeypatch, capsys):
                "--out", str(tmp_path / "out")])
     assert rc == 3
     assert "failed numerically" in capsys.readouterr().err
+
+
+def test_cli_reproduce_failure_exit_code(tmp_path, monkeypatch, capsys):
+    def boom(cfg, rng, stages="full", run_id=0, sweep_point=""):
+        raise numerics.NumericalError("synthetic breakdown")
+    monkeypatch.setattr(simulator, "run_frame", boom)
+    rc = main(["reproduce", "fig7", "--runs", "1",
+               "--out", str(tmp_path / "fig7")])
+    assert rc == 3
+    assert "1 runs failed numerically" in capsys.readouterr().err
 
 
 def test_cli_reproduce(tmp_path, capsys):
