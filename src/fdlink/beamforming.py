@@ -179,31 +179,6 @@ def _h(a):
     return np.swapaxes(a, -2, -1).conj()
 
 
-def ipn_covariances(u_b, u_m1, h_si_eff_f, h_dl_f, h_ul_f, g1_b, v_b,
-                    z_b_cov, z_m2_cov, d_cov, sigma_b_w, sigma_m1_w, data_idx):
-    """Model-based interference-plus-noise covariances after combining.
-
-    Returns (q_b, q_m1), each (n_data, d, d) Hermitian PSD: the uplink
-    combiner sees residual SI (signal and distortion), uplink TX distortion,
-    the canceller correction and thermal noise; the downlink user sees the FD
-    node's TX distortion through the downlink channel plus its own noise.
-    """
-    hts = h_si_eff_f[data_idx]
-    hdl = h_dl_f[data_idx]
-    ub = u_b[data_idx]
-    um = u_m1[data_idx]
-    a = g1_b * v_b[data_idx]
-    si_part = hts @ (a @ _h(a) + z_b_cov) @ _h(hts)
-    ul_part = h_ul_f[data_idx] @ z_m2_cov @ _h(h_ul_f[data_idx])
-    n_rx_b = hts.shape[1]
-    n_rx_m1 = hdl.shape[1]
-    q_b = _h(ub) @ (si_part + ul_part + d_cov
-                    + sigma_b_w * np.eye(n_rx_b)) @ ub
-    q_m1 = _h(um) @ (hdl @ z_b_cov @ _h(hdl)
-                     + sigma_m1_w * np.eye(n_rx_m1)) @ um
-    return q_b, q_m1
-
-
 def rate_bits(s_mat, q_mat):
     """log2 det(I + S S^H Q^-1) per bin; shapes (..., d, d) -> (...)."""
     gram = s_mat @ _h(s_mat)
@@ -212,19 +187,3 @@ def rate_bits(s_mat, q_mat):
     if np.any(sign_q == 0):
         raise numerics.NumericalError("singular IpN covariance in rate")
     return (logdet_t - logdet_q) / np.log(2.0)
-
-
-@dataclass
-class RatePair:
-    dl: float
-    ul: float
-
-    @property
-    def fd(self):
-        return self.dl + self.ul
-
-
-def rates(s_dl, q_m1, s_ul, q_b):
-    """Average per-subcarrier rates (bits/s/Hz) from effective links."""
-    return RatePair(dl=float(np.mean(rate_bits(s_dl, q_m1))),
-                    ul=float(np.mean(rate_bits(s_ul, q_b))))

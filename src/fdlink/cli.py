@@ -48,10 +48,14 @@ def _run_scenario(spec, out_dir, workers):
         print(f"{spec.name} [{label}] " + " ".join(parts))
     for p in paths:
         print(f"wrote {p}")
-    if result.failures:
-        print(f"{len(result.failures)} runs failed numerically",
-              file=sys.stderr)
-    return 3 if result.failure_fraction > FAILURE_BUDGET else 0
+    return _failure_exit(len(result.failures), result.attempted)
+
+
+def _failure_exit(failures, attempted):
+    """Count failed runs on stderr; exit code 3 above the failure budget."""
+    if failures:
+        print(f"{failures} of {attempted} runs failed", file=sys.stderr)
+    return 3 if attempted and failures / attempted > FAILURE_BUDGET else 0
 
 
 def main(argv=None):
@@ -94,10 +98,7 @@ def main(argv=None):
                 args.figure, args.out, runs=args.runs, workers=args.workers)
             for p in written:
                 print(f"wrote {p}")
-            if failures:
-                print(f"{failures} runs failed numerically", file=sys.stderr)
-            over = attempted and failures / attempted > FAILURE_BUDGET
-            return 3 if over else 0
+            return _failure_exit(failures, attempted)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -3,12 +3,11 @@
 The residual SI after the analog stage is linear in the augmented monomials
 of the known transmit frame (the impairment basis times the delay lines), so
 the canceller solves a regularized least squares from training samples. The
-fit works on the Gram matrix of the training-window design matrix: its
-eigendecomposition gives the singular basis of the design matrix, which is
-truncated at the smallest rank whose per-antenna residual falls to the
-thermal noise floor. The learned map is one matrix per delay line, so it is
-applied to the whole frame after the ADC as an FIR filter over the
-undelayed monomial stream; the design matrix of the payload is never built.
+eigenbasis of the design matrix's Gram matrix, built from lag correlations of
+the undelayed monomial stream without forming the design matrix, is truncated
+at the smallest rank whose per-antenna residual falls to the thermal noise
+floor. The learned map is one matrix per delay line, so it is applied to the
+whole frame after the ADC as an FIR filter over that stream.
 """
 
 from dataclasses import dataclass
@@ -46,42 +45,62 @@ def build_design_matrix(x, l_si):
 
 
 def linear_basis_mask(n_tx, l_si):
-    """Rows of the design matrix holding only the linear monomial x."""
-    mask = np.zeros(6 * n_tx * l_si, dtype=bool)
-    for l in range(l_si):
-        mask[l * 6 * n_tx: l * 6 * n_tx + n_tx] = True
-    return mask
+    """Rows of the design matrix holding only the linear monomial x: the
+    first n_tx of each delay line's 6 * n_tx rows."""
+    return np.tile(np.arange(6 * n_tx) < n_tx, l_si)
 
 
-def tsvd_estimate(psi, y, noise_var_w):
-    """Truncated-SVD fit of y over the rows of psi.
+def normal_equations(u, y, l_si):
+    """G = psi psi^H and C = y psi^H for psi = build_design_matrix(x, l_si).
+
+    Built from u = build_augmented_vector(x), (n_basis, T), and y, (n_rx, T),
+    without forming psi. Block row 0 of G and all of C take one product per
+    delay line against a shifted copy of u, of inner length T like the dense
+    product: OpenBLAS rounds a shorter inner length differently at other
+    thread counts, so serial and parallel runs would disagree. The other
+    blocks follow from G[l, m] = G[l-1, m-1] - u[:, T-l] u[:, T-m]^H.
+    """
+    y = np.atleast_2d(np.asarray(y))
+    nb, t = u.shape
+    if y.shape[1] != t:
+        raise ValueError("basis stream and observations disagree in length")
+    rows = np.concatenate([u, y])
+    pad = np.concatenate([np.zeros((nb, l_si - 1)), u], axis=1)
+    g = np.empty((l_si, nb, l_si, nb), dtype=complex)
+    c = np.empty((y.shape[0], l_si, nb), dtype=complex)
+    for m in range(l_si):                  # u delayed by m, zeros before it
+        prod = rows @ pad[:, l_si - 1 - m:][:, :t].conj().T
+        g[0, :, m], c[:, m] = prod[:nb], prod[nb:]
+    rev = pad[:, ::-1]             # rev[:, l - 1] = u[:, T - l], or 0 if l > T
+    for l in range(1, l_si):
+        g[l:, :, l - 1] = g[l - 1, :, l:].transpose(1, 2, 0).conj()
+        g[l, :, l:] = g[l - 1, :, l - 1:-1] - (
+            rev[:, l - 1, None, None] * rev[:, l - 1:l_si - 1].conj().T)
+    return g.reshape(l_si * nb, -1), c.reshape(-1, l_si * nb)
+
+
+def tsvd_fit(g, c, y, noise_var_w):
+    """Truncated-SVD fit of y, (n_rx, T), from g = psi psi^H and c = y psi^H.
 
     Ranks are added in descending singular-value order until every antenna's
     mean-square residual is at or below noise_var_w; if that never happens
     the full numerical rank is used, which coincides with the minimum-norm
     least-squares solution. Singular values at numerical zero are never used.
 
-    The singular basis comes from the Gram matrix G = psi psi^H, whose
-    eigenvalues are the squared singular values, and the coefficients from
-    C = y psi^H, so the fit never factors psi itself. The numerical-rank cut
-    is taken on the eigenvalues, lambda > lambda_0 * max(psi.shape) * eps:
-    eigh resolves G only to about eps * lambda_0, so an eigenvalue below
-    that level carries no direction of psi.
+    The eigenvalues of g are the squared singular values of psi, so psi is
+    never factored. The numerical rank keeps lambda > lambda_0 *
+    max(n_basis, T) * eps: eigh resolves g only to about eps * lambda_0, so
+    an eigenvalue below that level carries no direction of psi.
     """
-    psi = np.asarray(psi)
     y = np.atleast_2d(np.asarray(y))
-    t = psi.shape[1]
-    if y.shape[1] != t:
-        raise ValueError("design matrix and observations disagree in length")
-    psi_h = psi.conj().T
-    lam, u = numerics.eigh(psi @ psi_h)
-    tol = lam[0] * max(psi.shape) * np.finfo(float).eps if lam.size else 0.0
+    t = y.shape[1]
+    lam, u = numerics.eigh(g)
+    tol = lam[0] * max(g.shape[0], t) * np.finfo(float).eps if lam.size else 0.0
     k = int(np.sum(lam > tol))
     if k == 0:
-        theta = np.zeros((y.shape[0], psi.shape[0]), dtype=complex)
-        res = frame_power(y)
-        return DigitalCancellerState(theta, 0, res, lam[:0])
-    cu = (y @ psi_h) @ u[:, :k]            # coefficients times singular values
+        theta = np.zeros((y.shape[0], g.shape[0]), dtype=complex)
+        return DigitalCancellerState(theta, 0, frame_power(y), lam[:0])
+    cu = c @ u[:, :k]                      # coefficients times singular values
     cum = np.cumsum(np.abs(cu) ** 2 / lam[:k], axis=1)
     res = np.maximum(np.sum(np.abs(y) ** 2, axis=1)[:, None] - cum, 0.0)
     ok = np.all(res / t <= noise_var_w, axis=0)
@@ -89,6 +108,16 @@ def tsvd_estimate(psi, y, noise_var_w):
     theta = (cu[:, :p] / lam[:p]) @ u[:, :p].conj().T
     return DigitalCancellerState(theta, p, res[:, p - 1] / t,
                                  np.sqrt(lam[:k]))
+
+
+def tsvd_estimate(psi, y, noise_var_w):
+    """tsvd_fit over a dense design matrix psi (the normal_equations oracle)."""
+    psi = np.asarray(psi)
+    y = np.atleast_2d(np.asarray(y))
+    if y.shape[1] != psi.shape[1]:
+        raise ValueError("design matrix and observations disagree in length")
+    psi_h = psi.conj().T
+    return tsvd_fit(psi @ psi_h, y @ psi_h, y, noise_var_w)
 
 
 def cancel_signal(state, u):

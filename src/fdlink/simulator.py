@@ -28,8 +28,10 @@ from .channel import (apply_channel, estimate_with_mse, gen_rayleigh,
                       gen_rician_si, to_freq)
 from .analog_canceller import build_canceller, quantize_taps
 from .beamforming import rate_bits, solve_dl, ul_combiner, ul_precoder
+# build_design_matrix, tsvd_estimate: unused, but perfbench/bench.py wraps them
 from .digital_canceller import (build_design_matrix, cancel_signal,
-                                linear_basis_mask, tsvd_estimate)
+                                linear_basis_mask, normal_equations,
+                                tsvd_estimate, tsvd_fit)
 
 STAGES = ("analog", "digital", "full")
 
@@ -76,6 +78,39 @@ def compute_psd(frames, nc, cp_len=0):
 
 def _per_antenna_db(p_num, p_den):
     return float(np.mean(linear_to_db(p_num / p_den)))
+
+
+def _bin_cov(frames, nc, cp, data):
+    """Per-data-bin sample covariance over OFDM symbols, (nd, n, n)."""
+    zf = ofdm_demodulate(frames, nc, cp)[:, data, :]         # (sym, nd, n)
+    zf = zf.transpose(1, 2, 0)
+    return (zf @ zf.conj().transpose(0, 2, 1)) / zf.shape[2]
+
+
+def _measured_rate(y_frames, u_f, s_known, nc, cp, data):
+    """Mean data-bin rate with empirical combined-domain IpN.
+
+    The per-bin effective channel is refit from the payload by least
+    squares (the demod reference a receiver would estimate from the
+    frame), so raw CSI error does not masquerade as interference.
+    """
+    yf = ofdm_demodulate(y_frames, nc, cp)[:, data, :]       # (sym, nd, n_rx)
+    u = u_f[data]                                            # (nd, n_rx, d)
+    comb = np.einsum("nrd,snr->snd", u.conj(), yf)           # U^H y
+    cross = np.einsum("snd,sne->nde", comb, s_known.conj())
+    gram = np.einsum("snd,sne->nde", s_known, s_known.conj())
+    try:
+        s_mat = np.linalg.solve(
+            gram.conj().transpose(0, 2, 1),
+            cross.conj().transpose(0, 2, 1)).conj().transpose(0, 2, 1)
+    except np.linalg.LinAlgError as exc:
+        raise numerics.NumericalError(
+            f"payload too short to fit the demod reference: {exc}"
+        ) from None
+    err = comb - np.einsum("nde,sne->snd", s_mat, s_known)
+    e = err.transpose(1, 2, 0)
+    q = (e @ e.conj().transpose(0, 2, 1)) / e.shape[2]
+    return float(np.mean(rate_bits(s_mat, q)))
 
 
 def run_frame(cfg, rng, stages="full", run_id=0, sweep_point=""):
@@ -176,9 +211,12 @@ def run_frame(cfg, rng, stages="full", run_id=0, sweep_point=""):
     fs_w = adc_full_scale(adc, y_b)
     y_q = adc_quantize(y_b, adc, fs_w)
 
-    psi = build_design_matrix(x_b[:, :n_train], cfg.l_si)
-    state = tsvd_estimate(psi, y_q[:, :n_train], cfg.sigma_b_w)
-    d_corr = cancel_signal(state, build_augmented_vector(x_b))
+    mono_b = build_augmented_vector(x_b)
+    y_train = y_q[:, :n_train]
+    g, c = normal_equations(mono_b[:, :n_train], y_train, cfg.l_si)
+    state = tsvd_fit(g, c, y_train, cfg.sigma_b_w)
+    d_corr = cancel_signal(state, mono_b)
+    del mono_b              # 6 * n_tx frame-long rows, not needed past here
     r_post = y_q + d_corr
 
     # Shadow SI-only measurement: the same frame with the uplink muted,
@@ -195,8 +233,9 @@ def run_frame(cfg, rng, stages="full", run_id=0, sweep_point=""):
                                     / np.sum(frame_power(si_rx[:, pay]))))
 
     # linear-taps-only baseline canceller on the same training data
-    lin_mask = linear_basis_mask(cfg.n_tx_b, cfg.l_si)
-    state_lin = tsvd_estimate(psi[lin_mask], y_q[:, :n_train], cfg.sigma_b_w)
+    lin = linear_basis_mask(cfg.n_tx_b, cfg.l_si)
+    state_lin = tsvd_fit(g[np.ix_(lin, lin)], c[:, lin], y_train,
+                         cfg.sigma_b_w)
     after_lin = mid + cancel_signal(state_lin, x_b)[:, pay]
     rec.linear_supp_db = _per_antenna_db(frame_power(mid),
                                          frame_power(after_lin))
@@ -209,50 +248,22 @@ def run_frame(cfg, rng, stages="full", run_id=0, sweep_point=""):
         return rec
 
     # --- uplink combiner and rate metrics ----------------------------------
-    def bin_cov(frames):
-        zf = ofdm_demodulate(frames, nc, cp)[:, data, :]     # (sym, nd, n)
-        zf = zf.transpose(1, 2, 0)
-        return (zf @ zf.conj().transpose(0, 2, 1)) / zf.shape[2]
-
-    cov_z_b = bin_cov(z_b[:, pay])
-    cov_z_m2 = bin_cov(z_m2[:, pay])
-    cov_d = bin_cov(d_corr[:, pay])
+    cov_z_b = _bin_cov(z_b[:, pay], nc, cp, data)
+    cov_z_m2 = _bin_cov(z_m2[:, pay], nc, cp, data)
+    cov_d = _bin_cov(d_corr[:, pay], nc, cp, data)
 
     u_b = ul_combiner(h_ul_est_f, v_m2, g1_m2, cfg.ul_streams, cfg.sigma_b_w,
                       nc, data, h_si_eff_f=h_si_eff_f, v_b=dl.v, g1_b=dl.g1,
                       z_b_cov=cov_z_b, z_m2_cov=cov_z_m2, d_cov=cov_d)
 
-    def measured_rate(y_frames, u_f, s_known):
-        """Mean data-bin rate with empirical combined-domain IpN.
-
-        The per-bin effective channel is refit from the payload by least
-        squares (the demod reference a receiver would estimate from the
-        frame), so raw CSI error does not masquerade as interference.
-        """
-        yf = ofdm_demodulate(y_frames, nc, cp)[:, data, :]   # (sym, nd, n_rx)
-        u = u_f[data]                                        # (nd, n_rx, d)
-        comb = np.einsum("nrd,snr->snd", u.conj(), yf)       # U^H y
-        cross = np.einsum("snd,sne->nde", comb, s_known.conj())
-        gram = np.einsum("snd,sne->nde", s_known, s_known.conj())
-        try:
-            s_mat = np.linalg.solve(
-                gram.conj().transpose(0, 2, 1),
-                cross.conj().transpose(0, 2, 1)).conj().transpose(0, 2, 1)
-        except np.linalg.LinAlgError as exc:
-            raise numerics.NumericalError(
-                f"payload too short to fit the demod reference: {exc}"
-            ) from None
-        err = comb - np.einsum("nde,sne->snd", s_mat, s_known)
-        e = err.transpose(1, 2, 0)
-        q = (e @ e.conj().transpose(0, 2, 1)) / e.shape[2]
-        return float(np.mean(rate_bits(s_mat, q)))
-
-    ul_rate = measured_rate(r_post[:, pay], u_b, s_m2[:, data, :])
+    ul_rate = _measured_rate(r_post[:, pay], u_b, s_m2[:, data, :],
+                             nc, cp, data)
 
     noise_m1 = complex_normal(g_noise_m1, (cfg.n_rx_m1, si_rx.shape[1]),
                               cfg.sigma_m1_w)
     y_m1 = apply_channel(xt_b, h_dl) + noise_m1
-    dl_rate = measured_rate(y_m1[:, pay], dl.u, s_b[t_sym:, data, :])
+    dl_rate = _measured_rate(y_m1[:, pay], dl.u, s_b[t_sym:, data, :],
+                             nc, cp, data)
 
     # --- half-duplex baseline on the same channels -------------------------
     # Downlink: unconstrained eigenbeamforming at full stream count.
@@ -267,14 +278,14 @@ def run_frame(cfg, rng, stages="full", run_id=0, sweep_point=""):
     xt_hd, _ = tx_chain(x_hd, gains_b)
     y_m1_hd = apply_channel(xt_hd, h_dl) + complex_normal(
         g_hd, (cfg.n_rx_m1, x_hd.shape[1]), cfg.sigma_m1_w)
-    dl_hd = measured_rate(y_m1_hd, u_hd, s_hd[:, data, :])
+    dl_hd = _measured_rate(y_m1_hd, u_hd, s_hd[:, data, :], nc, cp, data)
 
     # Uplink: same uplink transmission without the node's own transmitter.
     y_ul_hd = ul_rx[:, pay] + noise_b[:, pay]
     y_ul_hd = adc_quantize(y_ul_hd, adc)
     u_b_hd = ul_combiner(h_ul_est_f, v_m2, g1_m2, cfg.ul_streams,
                          cfg.sigma_b_w, nc, data, z_m2_cov=cov_z_m2)
-    ul_hd = measured_rate(y_ul_hd, u_b_hd, s_m2[:, data, :])
+    ul_hd = _measured_rate(y_ul_hd, u_b_hd, s_m2[:, data, :], nc, cp, data)
 
     rec.dl_rate = dl_rate
     rec.ul_rate = ul_rate
@@ -353,9 +364,8 @@ class MonteCarloResult:
     labels: list
 
     @property
-    def failure_fraction(self):
-        total = len(self.records) + len(self.failures)
-        return len(self.failures) / total if total else 0.0
+    def attempted(self):
+        return len(self.records) + len(self.failures)
 
     def by_label(self, label):
         return [r for r in self.records if r.sweep_point == label]
@@ -608,5 +618,5 @@ def reproduce(fig, out_dir, runs=None, workers=1):
                     written.append(write_psd_csv(
                         os.path.join(out_dir, f"{fig}_{which}.csv"), psd, cfg))
     failures = sum(len(r.failures) for r in results.values())
-    attempted = failures + sum(len(r.records) for r in results.values())
+    attempted = sum(r.attempted for r in results.values())
     return written, failures, attempted

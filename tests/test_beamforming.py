@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from fdlink import numerics
-from fdlink.beamforming import (DlInfeasibleError, RatePair, ipn_covariances,
-                                rate_bits, rates, solve_dl, ul_combiner,
-                                ul_precoder)
+from fdlink.beamforming import (DlInfeasibleError, rate_bits, solve_dl,
+                                ul_combiner, ul_precoder)
 from fdlink.config_units import Rng, SystemConfig, complex_normal, dbm_to_linear
 from fdlink.impairments import make_impairment_model, derive_gain_matrices
 
@@ -201,39 +200,7 @@ def test_ul_combiner_singular_sigma_raises():
         ul_combiner(h, v, g1, 1, 0.0, NC, DATA)
 
 
-# --- covariances and rates ---------------------------------------------------
-
-def test_ipn_covariances_match_explicit_loop():
-    gen = Rng(16).generator
-    nd = len(DATA)
-    h_si = _rand_f(gen, NC, 4, 4)
-    h_dl = _rand_f(gen, NC, 2, 4)
-    h_ul = _rand_f(gen, NC, 4, 3)
-    u_b = _rand_f(gen, NC, 4, 2)
-    u_m1 = _rand_f(gen, NC, 2, 2)
-    v_b = _rand_f(gen, NC, 4, 2)
-    g1_b = 0.7
-    zb = complex_normal(gen, (nd, 4, 4))
-    z_b_cov = zb @ np.swapaxes(zb.conj(), 1, 2)
-    zm = complex_normal(gen, (nd, 3, 3))
-    z_m2_cov = zm @ np.swapaxes(zm.conj(), 1, 2)
-    dc = complex_normal(gen, (nd, 4, 4))
-    d_cov = dc @ np.swapaxes(dc.conj(), 1, 2)
-    sb, sm = 1e-13, 1e-12
-    q_b, q_m1 = ipn_covariances(u_b, u_m1, h_si, h_dl, h_ul, g1_b, v_b,
-                                z_b_cov, z_m2_cov, d_cov, sb, sm, DATA)
-    for k in range(0, nd, 11):
-        n = DATA[k]
-        a = g1_b * v_b[n]
-        cov = h_si[n] @ (a @ a.conj().T + z_b_cov[k]) @ h_si[n].conj().T
-        cov += h_ul[n] @ z_m2_cov[k] @ h_ul[n].conj().T
-        cov += d_cov[k] + sb * np.eye(4)
-        want_b = u_b[n].conj().T @ cov @ u_b[n]
-        assert np.allclose(q_b[k], want_b, rtol=1e-12)
-        cov1 = h_dl[n] @ z_b_cov[k] @ h_dl[n].conj().T + sm * np.eye(2)
-        want_m = u_m1[n].conj().T @ cov1 @ u_m1[n]
-        assert np.allclose(q_m1[k], want_m, rtol=1e-12)
-
+# --- rates ---------------------------------------------------------------
 
 def test_rate_bits_scalar_case():
     s = np.array([[[3.0 + 4.0j]]])
@@ -255,13 +222,3 @@ def test_rate_bits_singular_q_raises():
     q = np.zeros((1, 2, 2), dtype=complex)
     with pytest.raises(numerics.NumericalError):
         rate_bits(s, q)
-
-
-def test_rates_and_ratepair():
-    gen = Rng(18).generator
-    s = complex_normal(gen, (4, 2, 2))
-    q = np.broadcast_to(np.eye(2) * 0.5, (4, 2, 2)).astype(complex)
-    pair = rates(s, q, s, q)
-    assert pair.dl == pytest.approx(pair.ul)
-    assert pair.fd == pytest.approx(pair.dl + pair.ul)
-    assert isinstance(pair, RatePair)

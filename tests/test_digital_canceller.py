@@ -1,4 +1,5 @@
-"""Adaptive digital SI canceller: design matrix and truncated-SVD fit."""
+"""Adaptive digital SI canceller: design matrix, normal equations and
+truncated-SVD fit."""
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from fdlink.config_units import Rng, complex_normal
 from fdlink.digital_canceller import (DigitalCancellerState,
                                       build_design_matrix, cancel_signal,
-                                      linear_basis_mask, tsvd_estimate)
+                                      linear_basis_mask, normal_equations,
+                                      tsvd_estimate, tsvd_fit)
 from fdlink.impairments import build_augmented_vector
 
 
@@ -64,7 +66,50 @@ def test_cancel_signal_filter_equals_dense_design_matrix(linear_only):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).max()
 
 
+def test_normal_equations_equal_dense_products():
+    gen = Rng(10).generator
+    short = 0
+    for case in range(400):
+        n_tx, l_si = int(gen.integers(1, 5)), int(gen.integers(1, 8))
+        # every tenth case is no longer than the delay span
+        t = int(gen.integers(1, l_si + 1 if case % 10 == 0 else 61))
+        short += t < l_si
+        x = _frame(gen, n_tx=n_tx, t=t)
+        y = complex_normal(gen, (int(gen.integers(1, 5)), t))
+        psi = build_design_matrix(x, l_si)
+        g, c = normal_equations(build_augmented_vector(x), y, l_si)
+        g_want, c_want = psi @ psi.conj().T, y @ psi.conj().T
+        assert g.shape == g_want.shape and c.shape == c_want.shape
+        assert np.max(np.abs(g - g_want)) <= 1e-12 * np.abs(g_want).max()
+        assert np.max(np.abs(c - c_want)) <= 1e-12 * np.abs(c_want).max()
+    assert short > 0
+
+
 # --- TSVD fit ----------------------------------------------------------------
+
+# floor 0 keeps the full rank; 1e-3 truncates the full basis (72 -> 45) and
+# 3e-2 truncates both bases (72 -> 7, 12 -> 10)
+@pytest.mark.parametrize("linear_only", [False, True])
+@pytest.mark.parametrize("noise_var", [0.0, 1e-3, 3e-2])
+def test_sub_block_fit_equals_dense_fit(linear_only, noise_var):
+    # the fit from (a principal submatrix of) normal_equations equals the
+    # dense fit over the same rows of the design matrix
+    gen = Rng(11).generator
+    n_tx, l_si, t = 4, 3, 160
+    x = _frame(gen, n_tx=n_tx, t=t)
+    psi = build_design_matrix(x, l_si)
+    y = (complex_normal(gen, (4, psi.shape[0]), var=1e-4) @ psi
+         + complex_normal(gen, (4, t), var=1e-9))
+    g, c = normal_equations(build_augmented_vector(x), y, l_si)
+    rows = np.ones(psi.shape[0], dtype=bool)
+    if linear_only:
+        rows = linear_basis_mask(n_tx, l_si)
+    got = tsvd_fit(g[np.ix_(rows, rows)], c[:, rows], y, noise_var)
+    want = tsvd_estimate(psi[rows], y, noise_var)
+    assert got.rank_used == want.rank_used
+    assert np.max(np.abs(got.theta - want.theta)) <= (
+        1e-10 * np.abs(want.theta).max())
+
 
 def test_noiseless_recovery_cancels_exactly():
     gen = Rng(1).generator
@@ -170,6 +215,8 @@ def test_mismatched_lengths_raise():
     psi = np.zeros((6, 10), dtype=complex)
     with pytest.raises(ValueError):
         tsvd_estimate(psi, np.zeros((2, 11), dtype=complex), 0.0)
+    with pytest.raises(ValueError):
+        normal_equations(psi[:1], np.zeros((2, 11), dtype=complex), 2)
 
 
 def test_state_fields():
