@@ -17,9 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import apply_channel, taps_of
-from .config_units import ConfigError, linear_to_dbm
-from .waveform import frame_power
+from .config_units import ConfigError
 
 
 @dataclass
@@ -30,7 +28,6 @@ class AnalogCancellerConfig:
     demux: list      # per line: (n_rx, m_l) binary, columns sum to 1
     n_rx: int
     n_tx: int
-    l_c: int
     attenuation_step_db: float = 0.02
     phase_step_deg: float = 0.13
 
@@ -59,22 +56,20 @@ class AnalogCancellerConfig:
         return self
 
 
-def build_canceller(h_si_est, n_taps, greedy=False,
+def build_canceller(est, n_taps, greedy=False,
                     attenuation_step_db=0.02, phase_step_deg=0.13):
-    """Allocate n_taps canceller taps against the estimated SI channel.
+    """Allocate n_taps canceller taps against the estimated SI taps est.
 
     Default order is delay-major: earliest delay line first (skipping lines
     with no estimated energy), TX column by column within a line. greedy=True
     instead ranks all (delay, rx, tx) entries by estimated magnitude.
     Tap values are the negated channel entries.
     """
-    est = taps_of(h_si_est)
     n_lines, n_rx, n_tx = est.shape
     active = [l for l in range(n_lines) if np.any(est[l] != 0)]
     budget = n_rx * n_tx * max(len(active), 1)
     if not (1 <= n_taps <= budget):
         raise ConfigError(f"n_taps must be in [1, {budget}] for this channel")
-    l_c = int(np.ceil(n_taps / (n_rx * n_tx)))
 
     if greedy:
         mags = np.array([np.abs(est[l]) for l in active])  # (n_active, rx, tx)
@@ -106,7 +101,7 @@ def build_canceller(h_si_est, n_taps, greedy=False,
             d[j, r] = 1.0
             w[r] = -est[l, j, i]
         mux[l], taps[l], demux[l] = m, w, d
-    cfg = AnalogCancellerConfig(mux, taps, demux, n_rx, n_tx, l_c,
+    cfg = AnalogCancellerConfig(mux, taps, demux, n_rx, n_tx,
                                 attenuation_step_db, phase_step_deg)
     return cfg.validate()
 
@@ -136,12 +131,3 @@ def quantize_taps(cfg, gen):
         new_taps.append(w)
     return replace(cfg, taps=new_taps)
 
-
-def apply_canceller(x_tilde, cfg):
-    """Canceller contribution sum_l C[l] x_tilde[k-l] (add to the RX frame)."""
-    return apply_channel(x_tilde, cfg.matrices())
-
-
-def residual_si_power(frames):
-    """Per-antenna time-averaged power in dBm; an all-zero frame reads -400."""
-    return linear_to_dbm(frame_power(frames))

@@ -21,6 +21,9 @@ from . import numerics
 from .impairments import check_saturation, tx_chain
 from .waveform import draw_symbols, ofdm_modulate, ofdm_demodulate
 
+# OFDM symbols in the probe frame that measures the TX distortion
+PROBE_SYMBOLS = 4
+
 
 @dataclass
 class DlSolution:
@@ -33,18 +36,6 @@ class DlSolution:
     margin_db: float           # worst antenna's estimated residual over the
                                # threshold, dB (negative when feasible)
     est_residual_w: np.ndarray # per-antenna estimated residual SI, watts
-
-
-class DlInfeasibleError(Exception):
-    """No stream count can keep the estimated residual SI under threshold."""
-
-    def __init__(self, antenna, margin_db, solution):
-        super().__init__(
-            f"RX antenna {antenna} exceeds the saturation threshold by "
-            f"{margin_db:.2f} dB at every candidate stream count")
-        self.antenna = antenna
-        self.margin_db = margin_db
-        self.solution = solution
 
 
 def _unit_columns(v):
@@ -60,7 +51,7 @@ def _full_bins(nc, data_idx, per_bin):
 
 
 def solve_dl(h_si_eff_f, h_dl_f, gains_b, p_b_w, lambda_b_w, nc, data_idx,
-             cp_len, probe_gen, alpha_cap=None, probe_symbols=4, strict=False):
+             cp_len, probe_gen, alpha_cap=None):
     """Downlink precoder/combiner with RF-saturation-aware stream count.
 
     :param h_si_eff_f: (nc, n_rx_b, n_tx_b) estimated SI-plus-canceller response
@@ -68,13 +59,12 @@ def solve_dl(h_si_eff_f, h_dl_f, gains_b, p_b_w, lambda_b_w, nc, data_idx,
     :param gains_b: composite TX gains of the FD node (for the probe frame)
     :param probe_gen: random generator for the distortion probe symbols
     :param alpha_cap: optional cap on the stream count
-    :param strict: raise DlInfeasibleError instead of returning the flagged
-        smallest-stream-count solution
 
     Stream counts are tried from the largest down to 2 (a single pass at 1
     for single-antenna users); the first count whose estimated per-antenna
     residual SI power (signal plus measured TX distortion, time-averaged)
-    stays strictly below lambda_b_w wins.
+    stays strictly below lambda_b_w wins. If none does, the smallest count's
+    solution is returned flagged infeasible.
     """
     n_rx_b, n_tx = h_si_eff_f.shape[1:]
     n_rx_m1 = h_dl_f.shape[1]
@@ -98,7 +88,7 @@ def solve_dl(h_si_eff_f, h_dl_f, gains_b, p_b_w, lambda_b_w, nc, data_idx,
 
         # estimated residual SI at the own RX: precoded signal part plus the
         # actual TX distortion of a probe frame run through the chain
-        s = draw_symbols(probe_gen, probe_symbols, nc, data_idx, alpha)
+        s = draw_symbols(probe_gen, PROBE_SYMBOLS, nc, data_idx, alpha)
         v_full = _full_bins(nc, data_idx, v)
         x = ofdm_modulate(s, v_full, cp_len)
         _, z = tx_chain(x, gains_b)
@@ -123,9 +113,7 @@ def solve_dl(h_si_eff_f, h_dl_f, gains_b, p_b_w, lambda_b_w, nc, data_idx,
             est_residual_w=res_w,
         )
         if last.feasible:
-            return last
-    if strict:
-        raise DlInfeasibleError(last.violating_antenna, last.margin_db, last)
+            break
     return last
 
 

@@ -6,44 +6,9 @@ applying it is a linear convolution with zero initial history. Frequency
 responses are the unnormalized DFT across the tap axis.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config_units import complex_normal, db_to_linear
-
-
-@dataclass
-class WidebandChannel:
-    """Dense tap stack plus placement metadata.
-
-    taps: (L, n_rx, n_tx) matrix impulse response on the sample grid.
-    pathloss_db: per configured path, aggregate loss of that path.
-    delay_error_s: per configured path, residual of nearest-sample placement.
-    """
-    taps: np.ndarray
-    pathloss_db: np.ndarray | None = None
-    delay_error_s: np.ndarray | None = None
-
-    @property
-    def n_rx(self):
-        return self.taps.shape[1]
-
-    @property
-    def n_tx(self):
-        return self.taps.shape[2]
-
-    def copy(self):
-        return WidebandChannel(
-            self.taps.copy(),
-            None if self.pathloss_db is None else self.pathloss_db.copy(),
-            None if self.delay_error_s is None else self.delay_error_s.copy(),
-        )
-
-
-def taps_of(ch):
-    """Accept a WidebandChannel or a bare (L, n_rx, n_tx) array."""
-    return ch.taps if isinstance(ch, WidebandChannel) else np.asarray(ch)
 
 
 def gen_rayleigh(gen, n_rx, n_tx, n_taps, pathloss_db, profile="uniform"):
@@ -62,7 +27,7 @@ def gen_rayleigh(gen, n_rx, n_tx, n_taps, pathloss_db, profile="uniform"):
     taps = np.empty((n_taps, n_rx, n_tx), dtype=complex)
     for l in range(n_taps):
         taps[l] = complex_normal(gen, (n_rx, n_tx), var=w[l])
-    return WidebandChannel(taps, pathloss_db=np.atleast_1d(float(pathloss_db)))
+    return taps
 
 
 # Specular-to-diffuse power split of the reflected SI paths. The reflected
@@ -90,12 +55,12 @@ def direct_coupling_matrix(n_rx, n_tx):
 
 
 def gen_rician_si(gen, n_rx, n_tx, delays_ns, losses_db, sample_rate_hz,
-                  k_direct_db=30.0, reflect_diffuse=REFLECT_DIFFUSE):
+                  k_direct_db=30.0):
     """Self-interference channel: direct coupling tap plus reflected paths.
 
-    Path delays are rounded to the nearest sample; the residual placement
-    error is recorded on the returned channel. Per-entry average power of
-    each path equals 10^(-loss/10) exactly.
+    Path delays are rounded to the nearest sample; paths that round to the
+    same line add there. Per-entry average power of each path equals
+    10^(-loss/10) exactly.
     """
     delays = np.asarray(delays_ns, dtype=float) * 1e-9
     losses = np.asarray(losses_db, dtype=float)
@@ -116,7 +81,7 @@ def gen_rician_si(gen, n_rx, n_tx, delays_ns, losses_db, sample_rate_hz,
             a = complex_normal(gen, (n_rx,))
             b = complex_normal(gen, (n_tx,))
             det = np.outer(a, np.conj(b))
-            mix = reflect_diffuse[min(p - 1, len(reflect_diffuse) - 1)]
+            mix = REFLECT_DIFFUSE[min(p - 1, len(REFLECT_DIFFUSE) - 1)]
         diffuse = complex_normal(gen, (n_rx, n_tx))
         if p > 0:
             # Reflected bounces carry a fixed aggregate scattered power;
@@ -124,20 +89,16 @@ def gen_rician_si(gen, n_rx, n_tx, delays_ns, losses_db, sample_rate_hz,
             diffuse *= np.sqrt(n_rx * n_tx) / np.linalg.norm(diffuse)
         taps[line] += np.sqrt(v) * (np.sqrt(1.0 - mix) * det
                                     + np.sqrt(mix) * diffuse)
-    return WidebandChannel(
-        taps,
-        pathloss_db=losses.copy(),
-        delay_error_s=delays - d_samp / sample_rate_hz,
-    )
+    return taps
 
 
-def apply_channel(x, ch):
+def apply_channel(x, taps):
     """Linear convolution y[k] = sum_l H[l] x[k-l], zero history before k=0.
 
     :param x: (n_tx, n_samples) frame
+    :param taps: (L, n_rx, n_tx) tap stack
     :returns: (n_rx, n_samples) frame (tail beyond the frame is dropped)
     """
-    taps = taps_of(ch)
     x = np.atleast_2d(np.asarray(x))
     n_samp = x.shape[1]
     y = np.zeros((taps.shape[1], n_samp), dtype=complex)
@@ -149,34 +110,29 @@ def apply_channel(x, ch):
     return y
 
 
-def to_freq(ch, nc):
+def to_freq(taps, nc):
     """Per-subcarrier responses: (nc, n_rx, n_tx), H_n = sum_l H[l] W^(ln).
 
     Unnormalized DFT over the tap axis, so a single delay-0 tap gives a flat
     response equal to that tap on every bin.
     """
-    taps = taps_of(ch)
     if taps.shape[0] > nc:
         raise ValueError("channel is longer than the FFT size")
     return np.fft.fft(taps, n=nc, axis=0)
 
 
-def estimate_with_mse(ch, mse_db, gen):
+def estimate_with_mse(taps, mse_db, gen):
     """Imperfect CSI: add per-tap white estimation error at a relative MSE.
 
     mse_db = None returns an exact copy (ideal knowledge). Otherwise each
     tap gets iid complex Gaussian error with variance 10^(mse_db/10) times
     that tap's mean entry power; zero taps stay exactly zero.
     """
-    taps = taps_of(ch).copy()
+    taps = taps.copy()
     if mse_db is not None:
         rel = db_to_linear(mse_db)
         for l in range(taps.shape[0]):
             p = np.mean(np.abs(taps[l]) ** 2)
             if p > 0:
                 taps[l] += complex_normal(gen, taps[l].shape, var=rel * p)
-    if isinstance(ch, WidebandChannel):
-        out = ch.copy()
-        out.taps = taps
-        return out
     return taps

@@ -6,8 +6,7 @@ is a 20 MHz 64-subcarrier OFDM link with a 4x4 full-duplex node, one downlink
 user and one uplink user.
 """
 
-import json
-from dataclasses import dataclass, field, fields, replace, asdict
+from dataclasses import dataclass, fields, replace, asdict
 
 import numpy as np
 
@@ -86,7 +85,7 @@ def complex_normal(gen, shape, var=1.0):
 # ---------------------------------------------------------------------------
 # system configuration
 
-_TUPLE_FIELDS = {"si_delays_ns", "si_losses_db", "data_subcarriers"}
+_TUPLE_FIELDS = {"si_delays_ns", "si_losses_db"}
 
 
 @dataclass(frozen=True)
@@ -102,9 +101,7 @@ class SystemConfig:
     # OFDM numerology
     nc: int = 64
     n_data: int = 52
-    data_subcarriers: tuple | None = None   # explicit override of the data set
     cp_len: int = 16
-    bandwidth_hz: float = 20e6
     subcarrier_spacing_hz: float = 312.5e3
 
     # powers and noise
@@ -138,8 +135,6 @@ class SystemConfig:
 
     # ADC
     adc_bits: int = 14
-    adc_papr_db: float = 10.0
-    adc_dynamic_range_db: float = 60.0
     adc_full_scale_dbm: float = -30.0
     adc_auto_range: bool = True
 
@@ -179,8 +174,6 @@ class SystemConfig:
     @property
     def data_idx(self):
         """FFT-bin indices of the data subcarriers (DC and band edges null)."""
-        if self.data_subcarriers is not None:
-            return np.asarray(self.data_subcarriers, dtype=int)
         half = self.n_data // 2
         return np.r_[1:half + 1, self.nc - half:self.nc]
 
@@ -217,9 +210,6 @@ class SystemConfig:
             raise ConfigError("n_data must be in (0, nc)")
         if c.n_data % 2:
             raise ConfigError("n_data must be even (symmetric around DC)")
-        idx = self.data_idx
-        if len(np.unique(idx)) != len(idx) or idx.min() < 1 or idx.max() >= c.nc:
-            raise ConfigError("data subcarriers must be unique bins in [1, nc)")
         if c.d_b is not None and not (1 <= c.d_b <= min(c.n_tx_b, c.n_rx_m1)):
             raise ConfigError("d_b must be in [1, min(n_tx_b, n_rx_m1)]")
         if c.d_m2 is not None and not (1 <= c.d_m2 <= min(c.n_tx_m2, c.n_rx_b)):
@@ -240,7 +230,9 @@ class SystemConfig:
                 f"cp_len={c.cp_len} shorter than channel spread {max_spread}")
         if c.cp_len >= c.nc:
             raise ConfigError("cp_len must be < nc")
-        budget = c.n_rx_b * c.n_tx_b * len(c.si_delays_ns)
+        # one canceller line per distinct sample delay: paths that round to
+        # the same line share its n_rx_b * n_tx_b taps
+        budget = c.n_rx_b * c.n_tx_b * len(np.unique(self.si_delay_samples))
         if not (1 <= c.n_taps <= budget):
             raise ConfigError(f"n_taps must be in [1, {budget}]")
         if c.irr_db is not None and c.irr_db <= 0:
@@ -256,8 +248,7 @@ class SystemConfig:
     def to_dict(self):
         d = asdict(self)
         for k in _TUPLE_FIELDS:
-            if d[k] is not None:
-                d[k] = list(d[k])
+            d[k] = list(d[k])
         return d
 
     @classmethod
@@ -271,10 +262,6 @@ class SystemConfig:
             if k in kw and kw[k] is not None:
                 kw[k] = tuple(kw[k])
         return cls(**kw)
-
-    def to_json(self, path):
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2, sort_keys=True)
 
     def override(self, **kw):
         return replace(self, **kw)
@@ -291,10 +278,10 @@ def preset(name, **overrides):
     """
     presets = {
         "wifi20": {},
-        "lte20": dict(bandwidth_hz=20e6, subcarrier_spacing_hz=15e3,
-                      nc=2048, n_data=1200, cp_len=144),
-        "nr100": dict(bandwidth_hz=100e6, subcarrier_spacing_hz=60e3,
-                      nc=2048, n_data=1620, cp_len=144),
+        "lte20": dict(subcarrier_spacing_hz=15e3, nc=2048, n_data=1200,
+                      cp_len=144),
+        "nr100": dict(subcarrier_spacing_hz=60e3, nc=2048, n_data=1620,
+                      cp_len=144),
     }
     if name not in presets:
         raise ConfigError(f"unknown preset {name!r}; choose from {sorted(presets)}")

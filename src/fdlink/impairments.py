@@ -21,15 +21,12 @@ from .config_units import dbm_to_linear, db_to_linear
 
 @dataclass(frozen=True)
 class TxImpairmentModel:
-    """IQ mixer (g, theta) -> (mu1, mu2), and PA gains at the PA input plane."""
+    """IQ mixer g -> (mu1, mu2), and PA gains at the PA input plane."""
     g: float
-    theta: float
     mu1: complex
     mu2: complex
     nu1: float
     nu3: float
-    irr_db: float | None
-    iip3_dbm: float | None
 
     @property
     def image_rejection(self):
@@ -39,41 +36,34 @@ class TxImpairmentModel:
         return abs(self.mu1 / self.mu2) ** 2
 
 
-def make_impairment_model(irr_db=30.0, iip3_dbm=15.0, nu1=None, theta=0.0,
-                          pa_gain_db=38.0):
+def make_impairment_model(irr_db=30.0, iip3_dbm=15.0, pa_gain_db=38.0):
     """Build the TX impairment model.
 
-    :param irr_db: image rejection ratio in dB; None for an ideal mixer
+    :param irr_db: image rejection ratio in dB; None for an ideal mixer. The
+        amplitude mismatch g is solved so the requested IRR is met exactly.
     :param iip3_dbm: PA input-referred third-order intercept; None for linear
-    :param nu1: PA linear amplitude gain; defaults to 10^(pa_gain_db/20)
-    :param theta: mixer phase skew in radians; the amplitude mismatch g is
-        solved so the requested IRR is met exactly
+    :param pa_gain_db: PA gain; the linear amplitude gain nu1 is
+        10^(pa_gain_db/20)
     """
-    if nu1 is None:
-        nu1 = 10.0 ** (pa_gain_db / 20.0)
+    nu1 = 10.0 ** (pa_gain_db / 20.0)
     if irr_db is None or np.isinf(irr_db):
-        g, theta_eff = 1.0, 0.0
+        g = 1.0
     else:
         if irr_db <= 0:
             raise ValueError("irr_db must be positive")
         r = db_to_linear(irr_db)
-        # |1 + g e^{-j t}|^2 = R |1 - g e^{j t}|^2 reduces to
-        # g^2 - 2 g cos(t) (R+1)/(R-1) + 1 = 0; take the root in (0, 1).
-        beta = np.cos(theta) * (r + 1.0) / (r - 1.0)
-        if beta < 1.0:
-            raise ValueError("requested IRR unreachable at this phase skew")
+        # |1 + g|^2 = R |1 - g|^2 reduces to g^2 - 2 g (R+1)/(R-1) + 1 = 0;
+        # take the root in (0, 1).
+        beta = (r + 1.0) / (r - 1.0)
         g = beta - np.sqrt(beta * beta - 1.0)
-        theta_eff = theta
-    mu1 = 0.5 * (1.0 + g * np.exp(-1j * theta_eff))
-    mu2 = 0.5 * (1.0 - g * np.exp(+1j * theta_eff))
+    mu1 = 0.5 * (1.0 + g)
+    mu2 = 0.5 * (1.0 - g)
     if iip3_dbm is None:
         nu3 = 0.0
     else:
         nu3 = nu1 / dbm_to_linear(iip3_dbm)
-    return TxImpairmentModel(g=float(g), theta=float(theta_eff),
-                             mu1=complex(mu1), mu2=complex(mu2),
-                             nu1=float(nu1), nu3=float(nu3),
-                             irr_db=irr_db, iip3_dbm=iip3_dbm)
+    return TxImpairmentModel(g=float(g), mu1=complex(mu1), mu2=complex(mu2),
+                             nu1=float(nu1), nu3=float(nu3))
 
 
 @dataclass(frozen=True)
@@ -163,8 +153,6 @@ def tx_chain(x, gains):
 @dataclass(frozen=True)
 class AdcModel:
     bits: int = 14
-    papr_db: float = 10.0
-    dynamic_range_db: float = 60.0
     full_scale_dbm: float = -30.0
     auto_range: bool = True
 
@@ -175,8 +163,7 @@ def adc_full_scale(adc, y=None):
     With auto_range the rail tracks the measured per-antenna peak rail
     amplitude (a peak-tracking AGC) but never drops below the configured
     full-scale floor, so quantization error stays within one LSB while the
-    step never collapses on a cold antenna. The papr_db field is the static
-    dynamic-range accounting behind the floor, not an enforced clip level.
+    step never collapses on a cold antenna.
     """
     floor_w = dbm_to_linear(adc.full_scale_dbm)
     if not adc.auto_range or y is None:

@@ -64,7 +64,7 @@ CSV_FIELDS = [f.name for f in fields(MetricsRecord) if not f.name.startswith("ps
 METRIC_FIELDS = [n for n in CSV_FIELDS if n not in ("run_id", "sweep_point")]
 
 
-def compute_psd(frames, nc, cp_len=0):
+def compute_psd(frames, nc, cp_len):
     """Averaged periodogram over OFDM-symbol windows, watts per bin.
 
     Cyclic prefixes are stripped, each body is DFT'd (unitary), and |Y|^2 is
@@ -204,9 +204,7 @@ def run_frame(cfg, rng, stages="full", run_id=0, sweep_point=""):
 
     # --- ADC and digital cancellation --------------------------------------
     y_b = si_res + ul_rx + noise_b
-    adc = AdcModel(bits=cfg.adc_bits, papr_db=cfg.adc_papr_db,
-                   dynamic_range_db=cfg.adc_dynamic_range_db,
-                   full_scale_dbm=cfg.adc_full_scale_dbm,
+    adc = AdcModel(bits=cfg.adc_bits, full_scale_dbm=cfg.adc_full_scale_dbm,
                    auto_range=cfg.adc_auto_range)
     fs_w = adc_full_scale(adc, y_b)
     y_q = adc_quantize(y_b, adc, fs_w)

@@ -13,12 +13,6 @@ from . import numerics
 _QAM16_LEVELS = np.array([-3.0, -1.0, 1.0, 3.0]) / np.sqrt(10.0)
 
 
-def qam16_constellation():
-    """All 16 constellation points, average power exactly 1."""
-    re, im = np.meshgrid(_QAM16_LEVELS, _QAM16_LEVELS)
-    return (re + 1j * im).ravel()
-
-
 def map_qam16(gen, shape):
     """Draw iid uniform 16-QAM symbols of the given shape."""
     re = _QAM16_LEVELS[gen.integers(0, 4, size=shape)]

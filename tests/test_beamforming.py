@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from fdlink import numerics
-from fdlink.beamforming import (DlInfeasibleError, rate_bits, solve_dl,
-                                ul_combiner, ul_precoder)
+from fdlink.beamforming import (rate_bits, solve_dl, ul_combiner,
+                                ul_precoder)
 from fdlink.config_units import Rng, SystemConfig, complex_normal, dbm_to_linear
 from fdlink.impairments import make_impairment_model, derive_gain_matrices
 
@@ -106,12 +106,6 @@ def test_dl_infeasible_flags_and_strict_raises():
     assert sol.alpha == 2                  # flagged smallest candidate
     assert sol.violating_antenna is not None and sol.margin_db > 0
     assert sol.est_residual_w.shape == (4,)
-    with pytest.raises(DlInfeasibleError) as exc:
-        solve_dl(h_si, h_dl, _gains(), p, lam, NC, DATA, CP,
-                 Rng(9).generator, strict=True)
-    assert exc.value.antenna == sol.violating_antenna
-    assert exc.value.margin_db == pytest.approx(sol.margin_db)
-    assert exc.value.solution.alpha == sol.alpha
 
 
 def test_dl_alpha_cap():

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from fdlink.analog_canceller import build_canceller
+from fdlink.channel import gen_rician_si
 from fdlink.config_units import (ConfigError, Rng, SystemConfig,
                                  complex_normal, db_to_linear, dbm_to_linear,
                                  linear_to_db, linear_to_dbm, preset)
@@ -93,10 +95,35 @@ def test_stream_count_overrides():
     dict(irr_db=-3.0),
     dict(adc_bits=1),
     dict(mc_runs=0),
+    # 0 and 20 ns share sample line 0: three lines, a 4*4*3 budget
+    dict(si_delays_ns=(0.0, 20.0, 100.0, 150.0), n_taps=64),
 ])
 def test_validation_rejects(kw):
     with pytest.raises(ConfigError):
         SystemConfig(**kw)
+
+
+@settings(deadline=None)
+@given(lines=st.lists(st.integers(0, 5), min_size=1, max_size=5),
+       dup=st.integers(0, 4),
+       offsets_ns=st.lists(st.floats(0.0, 20.0), min_size=6, max_size=6),
+       seed=st.integers(0, 2 ** 16))
+def test_n_taps_budget_counts_shared_sample_lines(lines, dup, offsets_ns,
+                                                   seed):
+    # wifi20 samples every 50 ns, so a 0-20 ns offset keeps a path on its
+    # line; the repeated line makes at least two paths share one
+    lines = lines + [lines[dup % len(lines)]]
+    delays = tuple(50.0 * l + o for l, o in zip(lines, offsets_ns))
+    losses = tuple(40.0 + 10.0 * p for p in range(len(delays)))
+    budget = 16 * len(set(lines))
+    cfg = SystemConfig(si_delays_ns=delays, si_losses_db=losses,
+                       n_taps=budget)
+    # both sides accept an interval [1, budget], so the top decides
+    h = gen_rician_si(np.random.default_rng(seed), 4, 4, delays, losses,
+                      cfg.sample_rate_hz, cfg.k_direct_db)
+    assert build_canceller(h, cfg.n_taps).n_taps == budget
+    with pytest.raises(ConfigError):
+        cfg.override(n_taps=budget + 1)
 
 
 def test_dict_round_trip_and_unknown_keys():

@@ -1,8 +1,8 @@
 """TX impairment chain and ADC oracles.
 
-The mixer/PA constants below are frozen from the closed forms: for IRR R and
-phase skew theta the amplitude mismatch solves g^2 - 2 g cos(theta)(R+1)/(R-1)
-+ 1 = 0 on (0, 1); the PA cubic coefficient is nu1 / IIP3_watts.
+The mixer/PA constants below are frozen from the closed forms: for IRR R the
+amplitude mismatch solves g^2 - 2 g (R+1)/(R-1) + 1 = 0 on (0, 1); the PA
+cubic coefficient is nu1 / IIP3_watts.
 """
 
 import numpy as np
@@ -14,7 +14,7 @@ from fdlink.impairments import (AdcModel, adc_full_scale, adc_quantize,
                                 derive_gain_matrices, make_impairment_model,
                                 tx_chain)
 
-# frozen oracle values for IRR = 30 dB, theta = 0, PA 38 dB gain, IIP3 15 dBm
+# frozen oracle values for IRR = 30 dB, PA 38 dB gain, IIP3 15 dBm
 G_30DB = 0.938693139936569
 MU1_30DB = 0.969346569968285
 MU2_30DB = 0.030653430031715
@@ -37,17 +37,6 @@ def test_mixer_solution_matches_frozen_values():
 def test_requested_irr_met_exactly(irr):
     m = make_impairment_model(irr_db=irr)
     assert 10 * np.log10(m.image_rejection) == pytest.approx(irr, abs=1e-9)
-
-
-def test_mixer_with_phase_skew():
-    m = make_impairment_model(irr_db=30.0, theta=np.deg2rad(1.0))
-    assert 10 * np.log10(m.image_rejection) == pytest.approx(30.0, abs=1e-9)
-
-
-def test_unreachable_irr_raises():
-    # at theta where cos(theta)(R+1)/(R-1) < 1 there is no real solution
-    with pytest.raises(ValueError):
-        make_impairment_model(irr_db=30.0, theta=np.deg2rad(10.0))
 
 
 def test_ideal_mixer_and_linear_pa():

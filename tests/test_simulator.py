@@ -324,6 +324,16 @@ def test_cli_config_errors(tmp_path, capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize("key", ["adc_papr_db", "adc_dynamic_range_db",
+                                 "bandwidth_hz", "data_subcarriers"])
+def test_cli_rejects_removed_config_keys(tmp_path, capsys, key):
+    # these keys once were accepted and changed nothing
+    path = _write_cfg(tmp_path, {key: 10.0})
+    assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "unknown config fields" in err and key in err
+
+
 def test_cli_failure_exit_code(tmp_path, monkeypatch, capsys):
     def boom(cfg, rng, stages="full", run_id=0, sweep_point=""):
         raise numerics.NumericalError("synthetic breakdown")
@@ -355,8 +365,12 @@ def test_cli_reproduce(tmp_path, capsys):
 
 
 def test_console_script_help():
+    # the child imports the same fdlink as this test, installed or not
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "fdlink", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     for cmd in ("run", "sweep", "reproduce"):
         assert cmd in proc.stdout

@@ -5,8 +5,14 @@ import pytest
 
 from fdlink.config_units import SystemConfig
 from fdlink.waveform import (draw_symbols, frame_power, map_qam16,
-                             ofdm_demodulate, ofdm_modulate,
-                             qam16_constellation)
+                             ofdm_demodulate, ofdm_modulate)
+
+
+def qam16_constellation():
+    """All 16 constellation points, average power exactly 1."""
+    levels = np.array([-3.0, -1.0, 1.0, 3.0]) / np.sqrt(10.0)
+    re, im = np.meshgrid(levels, levels)
+    return (re + 1j * im).ravel()
 
 
 def _identity_precoder(nc, d):
