@@ -44,7 +44,8 @@ def _unit_columns(v):
     return v / n
 
 
-def _full_bins(nc, data_idx, per_bin):
+def full_bins(nc, data_idx, per_bin):
+    """Scatter per-data-bin values into all nc bins, zero elsewhere."""
     out = np.zeros((nc,) + per_bin.shape[1:], dtype=complex)
     out[data_idx] = per_bin
     return out
@@ -89,7 +90,7 @@ def solve_dl(h_si_eff_f, h_dl_f, gains_b, p_b_w, lambda_b_w, nc, data_idx,
         # estimated residual SI at the own RX: precoded signal part plus the
         # actual TX distortion of a probe frame run through the chain
         s = draw_symbols(probe_gen, PROBE_SYMBOLS, nc, data_idx, alpha)
-        v_full = _full_bins(nc, data_idx, v)
+        v_full = full_bins(nc, data_idx, v)
         x = ofdm_modulate(s, v_full, cp_len)
         _, z = tx_chain(x, gains_b)
         zf = ofdm_demodulate(z, nc, cp_len)[:, data_idx, :]
@@ -104,7 +105,7 @@ def solve_dl(h_si_eff_f, h_dl_f, gains_b, p_b_w, lambda_b_w, nc, data_idx,
             margin = float(10 * np.log10(np.max(res_w) / lambda_b_w))
         last = DlSolution(
             v=v_full,
-            u=_full_bins(nc, data_idx, u),
+            u=full_bins(nc, data_idx, u),
             g1=float(g1),
             alpha=alpha,
             feasible=not np.any(sat),
@@ -121,7 +122,7 @@ def ul_precoder(h_ul_f, d_m2, p_m2_w, nc, data_idx):
     """Uplink user: eigenbeamforming on the estimated channel, equal power."""
     n_tx_m2 = h_ul_f.shape[2]
     _, _, vr = numerics.svd(h_ul_f[data_idx])
-    v = _full_bins(nc, data_idx, vr[:, :, :d_m2])
+    v = full_bins(nc, data_idx, vr[:, :, :d_m2])
     return v, float(np.sqrt(p_m2_w / n_tx_m2))
 
 
@@ -160,7 +161,7 @@ def ul_combiner(h_ul_f, v_m2, g1_m2, d_m2, sigma_b_w, nc, data_idx,
         raise numerics.NumericalError(f"IpN covariance is singular: {exc}") from None
     _, vec = numerics.eig_general(m)
     u = _unit_columns(vec[:, :, :d_m2])
-    return _full_bins(nc, data_idx, u)
+    return full_bins(nc, data_idx, u)
 
 
 def _h(a):

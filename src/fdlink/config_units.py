@@ -6,6 +6,8 @@ is a 20 MHz 64-subcarrier OFDM link with a 4x4 full-duplex node, one downlink
 user and one uplink user.
 """
 
+import numbers
+import typing
 from dataclasses import dataclass, fields, replace, asdict
 
 import numpy as np
@@ -88,6 +90,18 @@ def complex_normal(gen, shape, var=1.0):
 _TUPLE_FIELDS = {"si_delays_ns", "si_losses_db"}
 
 
+def _is_a(v, kind):
+    """Field type check for JSON input: a bool is no number, an int is a
+    real, and a tuple holds real numbers."""
+    if kind in (bool, str, type(None)):
+        return isinstance(v, kind)
+    if isinstance(v, bool):
+        return False
+    if kind is tuple:
+        return isinstance(v, tuple) and all(_is_a(x, float) for x in v)
+    return isinstance(v, numbers.Integral if kind is int else numbers.Real)
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     # antenna and stream counts
@@ -148,6 +162,12 @@ class SystemConfig:
     seed: int = 1
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            kinds = typing.get_args(f.type) or (f.type,)   # int | None
+            if not any(_is_a(v, k) for k in kinds):
+                name = getattr(f.type, "__name__", f.type)
+                raise ConfigError(f"{f.name} must be {name}, got {v!r}")
         self._validate()
 
     # -- derived quantities ------------------------------------------------
@@ -257,13 +277,13 @@ class SystemConfig:
         unknown = set(d) - known
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        kw = dict(d)
-        for k in _TUPLE_FIELDS:
-            if k in kw and kw[k] is not None:
-                kw[k] = tuple(kw[k])
-        return cls(**kw)
+        return cls().override(**d)
 
     def override(self, **kw):
+        """A copy with the given fields replaced; JSON lists become tuples."""
+        for k in _TUPLE_FIELDS:
+            if isinstance(kw.get(k), list):
+                kw[k] = tuple(kw[k])
         return replace(self, **kw)
 
 

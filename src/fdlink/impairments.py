@@ -157,7 +157,7 @@ class AdcModel:
     auto_range: bool = True
 
 
-def adc_full_scale(adc, y=None):
+def adc_full_scale(adc, y):
     """Full-scale power per antenna, watts.
 
     With auto_range the rail tracks the measured per-antenna peak rail
@@ -166,7 +166,7 @@ def adc_full_scale(adc, y=None):
     step never collapses on a cold antenna.
     """
     floor_w = dbm_to_linear(adc.full_scale_dbm)
-    if not adc.auto_range or y is None:
+    if not adc.auto_range:
         return floor_w
     y = np.atleast_2d(np.asarray(y))
     peak = np.maximum(np.abs(y.real), np.abs(y.imag)).max(axis=1)

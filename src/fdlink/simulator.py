@@ -27,7 +27,8 @@ from .impairments import (AdcModel, adc_full_scale, adc_quantize,
 from .channel import (apply_channel, estimate_with_mse, gen_rayleigh,
                       gen_rician_si, to_freq)
 from .analog_canceller import build_canceller, quantize_taps
-from .beamforming import rate_bits, solve_dl, ul_combiner, ul_precoder
+from .beamforming import (full_bins, rate_bits, solve_dl, ul_combiner,
+                          ul_precoder)
 # build_design_matrix, tsvd_estimate: unused, but perfbench/bench.py wraps them
 from .digital_canceller import (build_design_matrix, cancel_signal,
                                 linear_basis_mask, normal_equations,
@@ -144,11 +145,10 @@ def run_frame(cfg, rng, stages="full", run_id=0, sweep_point=""):
     est_dl = estimate_with_mse(h_dl, cfg.channel_mse_db, g_est)
     est_ul = estimate_with_mse(h_ul, cfg.channel_mse_db, g_est)
 
-    canc = build_canceller(est_si, cfg.n_taps, greedy=cfg.greedy_taps,
-                           attenuation_step_db=cfg.attenuation_step_db,
-                           phase_step_deg=cfg.phase_step_deg)
+    canc = build_canceller(est_si, cfg.n_taps, greedy=cfg.greedy_taps)
     if cfg.tap_quantization:
-        canc = quantize_taps(canc, g_quant)
+        canc = quantize_taps(canc, g_quant, cfg.attenuation_step_db,
+                             cfg.phase_step_deg)
     c_mats = canc.matrices()
 
     h_si_eff_f = to_freq(est_si, nc) + to_freq(c_mats, nc)
@@ -265,12 +265,10 @@ def run_frame(cfg, rng, stages="full", run_id=0, sweep_point=""):
 
     # --- half-duplex baseline on the same channels -------------------------
     # Downlink: unconstrained eigenbeamforming at full stream count.
-    a_hd = min(cfg.n_tx_b, cfg.n_rx_m1, cfg.dl_streams)
+    a_hd = cfg.dl_streams
     uh, _, vh = numerics.svd(h_dl_est_f[data])
-    v_hd = np.zeros((nc, cfg.n_tx_b, a_hd), dtype=complex)
-    v_hd[data] = vh[:, :, :a_hd]
-    u_hd = np.zeros((nc, cfg.n_rx_m1, a_hd), dtype=complex)
-    u_hd[data] = uh[:, :, :a_hd]
+    v_hd = full_bins(nc, data, vh[:, :, :a_hd])
+    u_hd = full_bins(nc, data, uh[:, :, :a_hd])
     s_hd = draw_symbols(g_hd, f_sym, nc, data, a_hd)
     x_hd = ofdm_modulate(s_hd, v_hd, cp)
     xt_hd, _ = tx_chain(x_hd, gains_b)
@@ -545,14 +543,10 @@ def figure_scenarios(fig, runs=None):
         return ScenarioSpec(name=name, config=config, sweep=sweep,
                             runs=runs, stages=stages)
 
-    if fig == "fig3":
+    if fig in ("fig3", "fig4"):
+        users = single if fig == "fig3" else base
         for lc, taps in ((1, 16), (2, 32), (3, 48)):
-            sc = spec(f"fig3_lc{lc}", single.override(n_taps=taps),
-                      _power_points(), "analog")
-            items.append((sc, "p_saturation", "p_b_dbm", f"lc{lc}"))
-    elif fig == "fig4":
-        for lc, taps in ((1, 16), (2, 32), (3, 48)):
-            sc = spec(f"fig4_lc{lc}", base.override(n_taps=taps),
+            sc = spec(f"{fig}_lc{lc}", users.override(n_taps=taps),
                       _power_points(), "analog")
             items.append((sc, "p_saturation", "p_b_dbm", f"lc{lc}"))
     elif fig == "fig5":

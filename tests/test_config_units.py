@@ -1,5 +1,7 @@
 """Unit conversions, seeded random streams, and configuration validation."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -124,6 +126,26 @@ def test_n_taps_budget_counts_shared_sample_lines(lines, dup, offsets_ns,
     assert build_canceller(h, cfg.n_taps).n_taps == budget
     with pytest.raises(ConfigError):
         cfg.override(n_taps=budget + 1)
+
+
+# RFC 8259 calls integers interoperable up to 2**53 - 1 in magnitude
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 53 + 1, 2 ** 53 - 1)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8)
+
+
+@settings(deadline=None, max_examples=300)
+@given(name=st.sampled_from([f.name for f in fields(SystemConfig)]),
+       value=_JSON_VALUES)
+def test_any_json_value_builds_or_raises_config_error(name, value):
+    try:
+        cfg = SystemConfig.from_dict({name: value})
+    except ConfigError:
+        return
+    assert cfg.to_dict()[name] == value
 
 
 def test_dict_round_trip_and_unknown_keys():

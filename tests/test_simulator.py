@@ -334,6 +334,18 @@ def test_cli_rejects_removed_config_keys(tmp_path, capsys, key):
     assert "unknown config fields" in err and key in err
 
 
+@pytest.mark.parametrize("key,value", [
+    ("si_delays_ns", None), ("n_taps", "8"), ("nc", 64.5),
+    ("si_delays_ns", 5), ("adc_auto_range", "no"), ("p_b_dbm", "40")])
+def test_cli_rejects_wrongly_typed_config_values(tmp_path, capsys, key,
+                                                 value):
+    path = _write_cfg(tmp_path, {key: value})
+    assert main(["run", "--config", path, "--runs", "1",
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+
+
 def test_cli_failure_exit_code(tmp_path, monkeypatch, capsys):
     def boom(cfg, rng, stages="full", run_id=0, sweep_point=""):
         raise numerics.NumericalError("synthetic breakdown")
