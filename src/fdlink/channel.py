@@ -2,13 +2,17 @@
 self-interference channel of the full-duplex node.
 
 A channel is a dense stack of sample-spaced matrix taps (L, n_rx, n_tx);
-applying it is a linear convolution with zero initial history. Frequency
-responses are the unnormalized DFT across the tap axis.
+applying it is a linear convolution with zero initial history, run as one
+stacked product (L n_rx, n_tx) @ x per cache-sized column block of the frame
+with the taps' shifted adds inside the block. Frequency responses are the
+unnormalized DFT across the tap axis.
 """
 
 import numpy as np
 
 from .config_units import complex_normal, db_to_linear
+
+BLOCK = 8192        # frame columns per stacked product (buffer reused)
 
 
 def gen_rayleigh(gen, n_rx, n_tx, n_taps, pathloss_db, profile="uniform"):
@@ -100,13 +104,20 @@ def apply_channel(x, taps):
     :returns: (n_rx, n_samples) frame (tail beyond the frame is dropped)
     """
     x = np.atleast_2d(np.asarray(x))
+    n_lines, n_rx, n_tx = taps.shape
     n_samp = x.shape[1]
-    y = np.zeros((taps.shape[1], n_samp), dtype=complex)
-    for l in range(taps.shape[0]):
-        if l == 0:
-            y += taps[0] @ x
-        elif l < n_samp:
-            y[:, l:] += taps[l] @ x[:, :n_samp - l]
+    stacked = taps.reshape(n_lines * n_rx, n_tx)
+    y = np.empty((n_rx, n_samp), dtype=complex)
+    buf = np.empty((len(stacked), min(BLOCK + n_lines - 1, n_samp)), complex)
+    for k0 in range(0, n_samp, BLOCK):
+        k1 = min(k0 + BLOCK, n_samp)
+        h0 = max(k0 - n_lines + 1, 0)      # oldest input the block reaches
+        p = np.matmul(stacked, x[:, h0:k1], out=buf[:, :k1 - h0])
+        p = p.reshape(n_lines, n_rx, k1 - h0)
+        y[:, k0:k1] = p[0, :, k0 - h0:]
+        for l in range(1, min(n_lines, k1)):
+            lo = max(k0, l)                # first output with x[k-l] in frame
+            y[:, lo:k1] += p[l, :, lo - l - h0:k1 - l - h0]
     return y
 
 

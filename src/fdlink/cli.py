@@ -12,6 +12,7 @@ Carlo runs failed (every subcommand applies the same budget).
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .config_units import ConfigError, SystemConfig
 from .simulator import (FIGURES, ScenarioSpec, monte_carlo, reproduce,
@@ -87,11 +88,10 @@ def main(argv=None):
         if args.command in ("run", "sweep"):
             path = args.config if args.command == "run" else args.spec
             spec = _load_scenario(path)
-            if args.command == "run":
-                if args.seed is not None:
-                    spec.seed = args.seed
-                if args.runs is not None:
-                    spec.runs = args.runs
+            if args.command == "run":      # replace() validates again
+                spec = replace(spec, **{k: getattr(args, k)
+                                        for k in ("seed", "runs")
+                                        if getattr(args, k) is not None})
             return _run_scenario(spec, args.out, args.workers)
         if args.command == "reproduce":
             written, failures, attempted = reproduce(

@@ -230,6 +230,8 @@ class SystemConfig:
             raise ConfigError("n_data must be in (0, nc)")
         if c.n_data % 2:
             raise ConfigError("n_data must be even (symmetric around DC)")
+        if not 0 < c.subcarrier_spacing_hz < np.inf:
+            raise ConfigError("subcarrier_spacing_hz must be finite and > 0")
         if c.d_b is not None and not (1 <= c.d_b <= min(c.n_tx_b, c.n_rx_m1)):
             raise ConfigError("d_b must be in [1, min(n_tx_b, n_rx_m1)]")
         if c.d_m2 is not None and not (1 <= c.d_m2 <= min(c.n_tx_m2, c.n_rx_b)):
@@ -238,16 +240,19 @@ class SystemConfig:
             raise ConfigError("si_delays_ns and si_losses_db lengths differ")
         if len(c.si_delays_ns) == 0:
             raise ConfigError("at least one SI path is required")
-        if any(d < 0 for d in c.si_delays_ns):
-            raise ConfigError("SI path delays must be non-negative")
+        if not (all(0 <= d < np.inf for d in c.si_delays_ns)
+                and np.all(np.isfinite(c.si_losses_db))):
+            raise ConfigError("SI delays must be finite and >= 0, losses finite")
         if c.delay_profile not in ("uniform", "exponential"):
             raise ConfigError("delay_profile must be 'uniform' or 'exponential'")
         if c.l_dl < 1 or c.l_ul < 1:
             raise ConfigError("link channel lengths must be >= 1")
-        max_spread = max(self.l_si, c.l_dl, c.l_ul) - 1
+        # the SI spread in float: the int cast of si_delay_samples overflows
+        si_spread = np.round(max(c.si_delays_ns) * 1e-9 * c.sample_rate_hz)
+        max_spread = max(si_spread, c.l_dl - 1, c.l_ul - 1)
         if c.cp_len < max_spread:
             raise ConfigError(
-                f"cp_len={c.cp_len} shorter than channel spread {max_spread}")
+                f"cp_len={c.cp_len} shorter than channel spread {max_spread:g}")
         if c.cp_len >= c.nc:
             raise ConfigError("cp_len must be < nc")
         # one canceller line per distinct sample delay: paths that round to

@@ -65,13 +65,14 @@ def normal_equations(u, y, l_si):
     if y.shape[1] != t:
         raise ValueError("basis stream and observations disagree in length")
     rows = np.concatenate([u, y])
-    pad = np.concatenate([np.zeros((nb, l_si - 1)), u], axis=1)
+    pad_c = np.zeros((nb, l_si - 1 + t), dtype=complex)    # conj(u), delayed
+    np.conjugate(u, out=pad_c[:, l_si - 1:])
     g = np.empty((l_si, nb, l_si, nb), dtype=complex)
     c = np.empty((y.shape[0], l_si, nb), dtype=complex)
     for m in range(l_si):                  # u delayed by m, zeros before it
-        prod = rows @ pad[:, l_si - 1 - m:][:, :t].conj().T
+        prod = rows @ pad_c[:, l_si - 1 - m:][:, :t].T
         g[0, :, m], c[:, m] = prod[:nb], prod[nb:]
-    rev = pad[:, ::-1]             # rev[:, l - 1] = u[:, T - l], or 0 if l > T
+    rev = pad_c[:, :-l_si:-1].conj()   # rev[:, l - 1] = u[:, T - l], 0 if l > T
     for l in range(1, l_si):
         g[l:, :, l - 1] = g[l - 1, :, l:].transpose(1, 2, 0).conj()
         g[l, :, l:] = g[l - 1, :, l - 1:-1] - (

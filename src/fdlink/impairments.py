@@ -124,12 +124,19 @@ def build_augmented_vector(x):
     """Stack the impairment monomials of x: (x, x*, x^3, x^2 x*, x x*^2, x*^3).
 
     x may be (n,) or (n, T); the result is (6n,) or (6n, T) with the blocks
-    in that fixed order.
+    in that fixed order (x*, x x*^2 and x*^3 conjugate their mirror blocks).
     """
     x = np.asarray(x)
-    xc = np.conj(x)
-    return np.concatenate([x, xc, x ** 3, x ** 2 * xc, x * xc ** 2, xc ** 3],
-                          axis=0)
+    u = np.empty((6 * len(x),) + x.shape[1:], dtype=x.dtype)
+    b = np.split(u, 6)                     # views of the six blocks
+    b[0][...] = x
+    np.conjugate(x, out=b[1])
+    np.power(x, 3, out=b[2])
+    np.square(x, out=b[4])                 # x^2, parked in block 4 for a step
+    np.multiply(b[4], b[1], out=b[3])
+    np.conjugate(b[3], out=b[4])
+    np.conjugate(b[2], out=b[5])
+    return u
 
 
 def tx_chain(x, gains):

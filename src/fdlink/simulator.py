@@ -17,8 +17,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import numerics
-from .config_units import (Rng, SystemConfig, ConfigError, complex_normal,
-                           dbm_to_linear, linear_to_db, linear_to_dbm, preset)
+from .config_units import (Rng, SystemConfig, ConfigError, _is_a,
+                           complex_normal, dbm_to_linear, linear_to_db,
+                           linear_to_dbm, preset)
 from .waveform import draw_symbols, ofdm_modulate, ofdm_demodulate, frame_power
 from .impairments import (AdcModel, adc_full_scale, adc_quantize,
                           build_augmented_vector, check_saturation,
@@ -213,9 +214,10 @@ def run_frame(cfg, rng, stages="full", run_id=0, sweep_point=""):
     y_train = y_q[:, :n_train]
     g, c = normal_equations(mono_b[:, :n_train], y_train, cfg.l_si)
     state = tsvd_fit(g, c, y_train, cfg.sigma_b_w)
-    d_corr = cancel_signal(state, mono_b)
+    # only the payload is read past here; the filter reaches l_si - 1 back
+    hist = max(n_train - cfg.l_si + 1, 0)
+    d_corr = cancel_signal(state, mono_b[:, hist:])[:, n_train - hist:]
     del mono_b              # 6 * n_tx frame-long rows, not needed past here
-    r_post = y_q + d_corr
 
     # Shadow SI-only measurement: the same frame with the uplink muted,
     # used to isolate cancellation depth.  Kept unquantized on purpose:
@@ -223,7 +225,7 @@ def run_frame(cfg, rng, stages="full", run_id=0, sweep_point=""):
     # ADC, but re-quantizing the shadow against a rail chosen for the
     # composite signal adds clip artifacts that belong to the live path,
     # not to the canceller under measurement.
-    after = mid + d_corr[:, pay]
+    after = mid + d_corr
     rec.tsvd_rank = float(state.rank_used)
     rec.digital_supp_db = _per_antenna_db(frame_power(mid), frame_power(after))
     rec.total_supp_db = _per_antenna_db(frame_power(before), frame_power(after))
@@ -234,7 +236,8 @@ def run_frame(cfg, rng, stages="full", run_id=0, sweep_point=""):
     lin = linear_basis_mask(cfg.n_tx_b, cfg.l_si)
     state_lin = tsvd_fit(g[np.ix_(lin, lin)], c[:, lin], y_train,
                          cfg.sigma_b_w)
-    after_lin = mid + cancel_signal(state_lin, x_b)[:, pay]
+    d_lin = cancel_signal(state_lin, x_b[:, hist:])[:, n_train - hist:]
+    after_lin = mid + d_lin
     rec.linear_supp_db = _per_antenna_db(frame_power(mid),
                                          frame_power(after_lin))
 
@@ -248,13 +251,13 @@ def run_frame(cfg, rng, stages="full", run_id=0, sweep_point=""):
     # --- uplink combiner and rate metrics ----------------------------------
     cov_z_b = _bin_cov(z_b[:, pay], nc, cp, data)
     cov_z_m2 = _bin_cov(z_m2[:, pay], nc, cp, data)
-    cov_d = _bin_cov(d_corr[:, pay], nc, cp, data)
+    cov_d = _bin_cov(d_corr, nc, cp, data)
 
     u_b = ul_combiner(h_ul_est_f, v_m2, g1_m2, cfg.ul_streams, cfg.sigma_b_w,
                       nc, data, h_si_eff_f=h_si_eff_f, v_b=dl.v, g1_b=dl.g1,
                       z_b_cov=cov_z_b, z_m2_cov=cov_z_m2, d_cov=cov_d)
 
-    ul_rate = _measured_rate(r_post[:, pay], u_b, s_m2[:, data, :],
+    ul_rate = _measured_rate(y_q[:, pay] + d_corr, u_b, s_m2[:, data, :],
                              nc, cp, data)
 
     noise_m1 = complex_normal(g_noise_m1, (cfg.n_rx_m1, si_rx.shape[1]),
@@ -304,8 +307,12 @@ class ScenarioSpec:
     stages: str = "full"
 
     def __post_init__(self):
-        if self.stages not in STAGES:
+        if not isinstance(self.stages, str) or self.stages not in STAGES:
             raise ConfigError(f"stages must be one of {STAGES}")
+        for name, low in (("runs", 1), ("seed", 0)):   # SeedSequence: >= 0
+            v = getattr(self, name)
+            if v is not None and not (_is_a(v, int) and v >= low):
+                raise ConfigError(f"{name} must be an integer >= {low} or null")
         if not self.sweep:
             raise ConfigError("sweep must contain at least one point")
         for point in self.sweep:

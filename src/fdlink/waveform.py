@@ -39,12 +39,11 @@ def ofdm_modulate(s, v, cp_len):
     v = np.asarray(v)
     if s.ndim != 3 or v.ndim != 3 or s.shape[1] != v.shape[0] or s.shape[2] != v.shape[2]:
         raise ValueError("symbol block and precoder shapes do not agree")
-    xf = np.einsum("ntd,snd->snt", v, s)          # (n_sym, nc, n_tx)
-    xt = numerics.ifft(xf, axis=1)
+    xf = (v @ s.transpose(1, 2, 0)).transpose(1, 2, 0)   # (n_tx, n_sym, nc)
+    xt = numerics.ifft(np.ascontiguousarray(xf))
     if cp_len:
-        xt = np.concatenate([xt[:, -cp_len:, :], xt], axis=1)
-    n_sym, sym_len, n_tx = xt.shape
-    return xt.transpose(2, 0, 1).reshape(n_tx, n_sym * sym_len)
+        xt = np.concatenate([xt[..., -cp_len:], xt], axis=-1)
+    return xt.reshape(xt.shape[0], -1)
 
 
 def ofdm_demodulate(y, nc, cp_len):

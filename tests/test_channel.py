@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fdlink.config_units import SystemConfig, db_to_linear, dbm_to_linear
-from fdlink.channel import (apply_channel, direct_coupling_matrix,
+from fdlink.channel import (BLOCK, apply_channel, direct_coupling_matrix,
                             estimate_with_mse, gen_rayleigh, gen_rician_si,
                             to_freq)
 
@@ -53,16 +53,40 @@ def test_link_budget_through_channel():
 
 # --- convolution against a reference ----------------------------------------
 
+def _convolve_oracle(x, taps):
+    _, n_rx, n_tx = taps.shape
+    want = np.zeros((n_rx, x.shape[1]), dtype=complex)
+    for j in range(n_rx):
+        for i in range(n_tx):
+            want[j] += np.convolve(taps[:, j, i], x[i])[:x.shape[1]]
+    return want
+
+
 def test_apply_channel_equals_reference_convolution():
     gen = _gen(4)
     taps = gen.standard_normal((3, 2, 4)) + 1j * gen.standard_normal((3, 2, 4))
     x = gen.standard_normal((4, 50)) + 1j * gen.standard_normal((4, 50))
     y = apply_channel(x, taps)
-    want = np.zeros((2, 50), dtype=complex)
-    for j in range(2):
-        for i in range(4):
-            want[j] += np.convolve(taps[:, j, i], x[i])[:50]
-    assert np.allclose(y, want, atol=1e-12)
+    assert np.allclose(y, _convolve_oracle(x, taps), atol=1e-12)
+
+
+# frame lengths around the block edges of the stacked product
+_BLOCK_EDGES = list(dict.fromkeys(
+    (n_lines, n_samp) for n_lines in (5, 1)
+    for n_samp in (1, n_lines - 1, n_lines, BLOCK - 1, BLOCK, BLOCK + 1,
+                   2 * BLOCK + n_lines - 1) if n_samp > 0))
+
+
+@pytest.mark.parametrize("n_lines,n_samp", _BLOCK_EDGES)
+def test_apply_channel_across_block_edges(n_lines, n_samp):
+    gen = _gen(n_lines * 7919 + n_samp)
+    taps = (gen.standard_normal((n_lines, 2, 3))
+            + 1j * gen.standard_normal((n_lines, 2, 3)))
+    x = gen.standard_normal((3, n_samp)) + 1j * gen.standard_normal((3, n_samp))
+    got = apply_channel(x, taps)
+    want = _convolve_oracle(x, taps)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).max()
 
 
 def test_apply_channel_zero_history():

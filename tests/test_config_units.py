@@ -99,9 +99,24 @@ def test_stream_count_overrides():
     dict(mc_runs=0),
     # 0 and 20 ns share sample line 0: three lines, a 4*4*3 budget
     dict(si_delays_ns=(0.0, 20.0, 100.0, 150.0), n_taps=64),
+    dict(subcarrier_spacing_hz=-312500.0),    # negative SI sample delays
+    dict(subcarrier_spacing_hz=0.0),
+    dict(subcarrier_spacing_hz=float("inf")),
+    dict(si_delays_ns=(0.0, 1e300, 1e300, 1e300)),   # overflows int64
+    dict(si_delays_ns=(0.0, 50.0, float("nan"), 150.0)),
+    dict(si_losses_db=(40.0, 50.0, 60.0, float("inf"))),
 ])
 def test_validation_rejects(kw):
     with pytest.raises(ConfigError):
+        SystemConfig(**kw)
+
+
+@pytest.mark.parametrize("kw,match", [
+    (dict(subcarrier_spacing_hz=0.0), "subcarrier_spacing_hz"),
+    (dict(si_delays_ns=(0.0, 1e300, 1e300, 1e300)), "channel spread"),
+    (dict(si_losses_db=(40.0, 50.0, 60.0, float("inf"))), "finite")])
+def test_validation_names_the_bad_value(kw, match):
+    with pytest.raises(ConfigError, match=match):
         SystemConfig(**kw)
 
 

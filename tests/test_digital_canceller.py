@@ -66,6 +66,25 @@ def test_cancel_signal_filter_equals_dense_design_matrix(linear_only):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("linear_only", [False, True])
+@pytest.mark.parametrize("start", [0, 2, 3, 50])
+def test_cancel_signal_on_payload_window_equals_full_frame(linear_only,
+                                                           start):
+    # the payload from `start` on needs only the l_si - 1 samples before it
+    gen = Rng(11).generator
+    n_tx, l_si = 3, 4
+    x = _frame(gen, n_tx=n_tx, t=90)
+    u = x if linear_only else build_augmented_vector(x)
+    theta = complex_normal(gen, (2, l_si * u.shape[0]))
+    state = DigitalCancellerState(theta, theta.shape[1], np.zeros(2),
+                                  np.ones(theta.shape[1]))
+    want = cancel_signal(state, u)[:, start:]
+    hist = max(start - l_si + 1, 0)
+    got = cancel_signal(state, u[:, hist:])[:, start - hist:]
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).max()
+
+
 def test_normal_equations_equal_dense_products():
     gen = Rng(10).generator
     short = 0

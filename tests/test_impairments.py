@@ -76,6 +76,28 @@ def test_augmented_vector_frozen_example():
     assert np.allclose(psi[:, 0] if psi.ndim == 2 else psi, want, atol=1e-15)
 
 
+def _augmented_oracle(x):
+    """The former np.concatenate formula, with x xc^2 written xc^2 x.
+
+    Numpy evaluates x * xc ** 2 on frame-sized inputs as xc ** 2 * x anyway
+    (it reuses the xc ** 2 temporary as the output), and with fused
+    multiply-adds the operand order decides the last bit.
+    """
+    xc = np.conj(x)
+    return np.concatenate([x, xc, x ** 3, x ** 2 * xc, xc ** 2 * x, xc ** 3],
+                          axis=0)
+
+
+@pytest.mark.parametrize("shape", [(1,), (4,), (33,), (20000,), (3, 10),
+                                   (4, 5280)])
+def test_augmented_vector_bytes_equal_concatenate_oracle(shape):
+    gen = np.random.default_rng(len(shape) * 100 + shape[-1])
+    x = 1e-2 * (gen.standard_normal(shape) + 1j * gen.standard_normal(shape))
+    got = build_augmented_vector(x)
+    want = _augmented_oracle(x)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_augmented_vector_shapes():
     x = np.ones((3, 10), dtype=complex)
     assert build_augmented_vector(x).shape == (18, 10)

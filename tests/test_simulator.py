@@ -13,7 +13,8 @@ import pytest
 
 from fdlink import cli, digital_canceller, numerics, simulator
 from fdlink.cli import main
-from fdlink.config_units import ConfigError, Rng, SystemConfig, complex_normal
+from fdlink.config_units import (ConfigError, Rng, SystemConfig,
+                                 complex_normal, preset)
 from fdlink.simulator import (MonteCarloResult, ScenarioSpec, compute_psd,
                               curve_from_result, figure_scenarios,
                               monte_carlo, reproduce, run_frame,
@@ -185,6 +186,21 @@ def test_monte_carlo_parallel_matches_serial(tmp_path):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
 
 
+def test_long_frame_campaign_parallel_matches_serial(tmp_path):
+    # lte20 frames span many apply_channel blocks; serial runs use the
+    # multithreaded BLAS, pool workers one thread each
+    spec = ScenarioSpec(name="t", config=preset("lte20"), runs=2, seed=1,
+                        stages="digital")
+    d1, d2 = tmp_path / "serial", tmp_path / "parallel"
+    write_scenario_outputs(monte_carlo(spec, workers=1), d1)
+    write_scenario_outputs(monte_carlo(spec, workers=2), d2)
+    names = sorted(p.name for p in d1.glob("*.csv"))
+    assert "psd_base.csv" in names
+    assert names == sorted(p.name for p in d2.glob("*.csv"))
+    for name in names:
+        assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
+
+
 def test_monte_carlo_counts_numerical_failures(monkeypatch):
     def boom(cfg, rng, stages="full", run_id=0, sweep_point=""):
         raise numerics.NumericalError("synthetic breakdown")
@@ -344,6 +360,17 @@ def test_cli_rejects_wrongly_typed_config_values(tmp_path, capsys, key,
                  "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and key in err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("runs", "3"), ("seed", "5"), ("runs", 0), ("runs", -2)])
+def test_cli_rejects_bad_scenario_values(tmp_path, capsys, key, value):
+    p = tmp_path / "scn.json"
+    p.write_text(json.dumps({"name": "demo", "config": SMALL, key: value}))
+    assert main(["sweep", "--spec", str(p), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_failure_exit_code(tmp_path, monkeypatch, capsys):

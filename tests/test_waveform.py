@@ -82,6 +82,21 @@ def test_precoder_application():
     assert np.allclose(back, want, atol=1e-12)
 
 
+@pytest.mark.parametrize("cp_len", [0, 9])
+def test_modulate_equals_einsum_oracle(cp_len):
+    nc, n_tx, d, n_sym = 32, 3, 2, 5
+    gen = np.random.default_rng(6)
+    v = (gen.standard_normal((nc, n_tx, d))
+         + 1j * gen.standard_normal((nc, n_tx, d)))
+    s = draw_symbols(gen, n_sym, nc, np.arange(1, 21), d)
+    xt = np.fft.ifft(np.einsum("ntd,snd->snt", v, s), axis=1, norm="ortho")
+    xt = np.concatenate([xt[:, nc - cp_len:, :], xt], axis=1)
+    want = xt.transpose(2, 0, 1).reshape(n_tx, n_sym * (nc + cp_len))
+    got = ofdm_modulate(s, v, cp_len)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).max()
+
+
 def test_modulate_shape_mismatch_raises():
     s = np.zeros((2, 16, 2), dtype=complex)
     v = np.zeros((16, 4, 3), dtype=complex)
