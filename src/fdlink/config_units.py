@@ -267,6 +267,8 @@ class SystemConfig:
         for name in ("mc_runs", "frame_symbols", "train_symbols"):
             if getattr(c, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if c.seed < 0:                 # SeedSequence rejects it in every run
+            raise ConfigError("seed must be >= 0")
 
     # -- serialization -------------------------------------------------------
 

@@ -4,18 +4,22 @@ All FFTs are unitary (1/sqrt(N) both ways), singular values and Hermitian
 eigenvalues come back descending, and eigenpairs of general matrices come
 back sorted by magnitude.
 LAPACK failures surface as NumericalError instead of half-filled arrays.
+
+blas_threads caps the OpenBLAS that numpy loaded while a block runs. A pool
+forked inside it starts at one BLAS thread per worker, so the workers never
+build a BLAS thread pool of their own.
 """
 
+import contextlib
 import ctypes
 
 import numpy as np
 
-# Thread-count setters across OpenBLAS builds: plain, 64-bit-integer suffixed,
-# and the scipy-openblas wheels that numpy ships.
-_OPENBLAS_SET_THREADS = ("openblas_set_num_threads",
-                         "openblas_set_num_threads64_",
-                         "scipy_openblas_set_num_threads64_",
-                         "scipy_openblas_set_num_threads")
+# Thread-count getter/setter names (%s: get, set) across OpenBLAS builds:
+# plain, 64-bit-integer suffixed, and the scipy-openblas wheels numpy ships.
+_OPENBLAS_THREADS = ("openblas_%s_num_threads", "openblas_%s_num_threads64_",
+                     "scipy_openblas_%s_num_threads64_",
+                     "scipy_openblas_%s_num_threads")
 
 
 class NumericalError(Exception):
@@ -85,13 +89,11 @@ def ifft(x, axis=-1):
     return np.fft.ifft(x, axis=axis, norm="ortho")
 
 
-def limit_blas_threads(n):
-    """Cap the OpenBLAS that numpy loaded at n threads in this process.
+def _openblas_thread_funcs():
+    """(get, set) thread-count functions of the OpenBLAS numpy loaded.
 
-    Meant as a pool initializer: a forked worker inherits its parent's
-    multithreaded BLAS, and several such workers oversubscribe the CPUs.
-    The library is found in /proc/self/maps. Returns False, changing
-    nothing, when no OpenBLAS with a known setter is mapped.
+    The library is found in /proc/self/maps. Returns None when no OpenBLAS
+    with known thread-count symbols is mapped.
     """
     try:
         with open("/proc/self/maps") as f:
@@ -99,11 +101,33 @@ def limit_blas_threads(n):
                          if "openblas" in line), None)
         lib = ctypes.CDLL(path) if path else None
     except OSError:
-        return False
-    for name in _OPENBLAS_SET_THREADS:
-        if hasattr(lib, name):
-            set_threads = getattr(lib, name)
-            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-            set_threads(n)
-            return True
-    return False
+        return None
+    for name in _OPENBLAS_THREADS:
+        get, set_ = (getattr(lib, name % verb, None) for verb in ("get", "set"))
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def blas_threads(n):
+    """Cap this process's OpenBLAS at n threads while the body runs.
+
+    Processes forked inside the body inherit the cap. The caller's count is
+    restored on exit, also when the body raises. Other threads of this
+    process share the cap meanwhile. Does nothing when no OpenBLAS with
+    known thread-count symbols is mapped.
+    """
+    funcs = _openblas_thread_funcs()
+    if funcs is None:
+        yield
+        return
+    get, set_ = funcs
+    before = get()
+    set_(n)
+    try:
+        yield
+    finally:
+        set_(before)

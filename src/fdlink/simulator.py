@@ -154,12 +154,10 @@ def run_frame(cfg, rng, stages="full", run_id=0, sweep_point=""):
 
     h_si_eff_f = to_freq(est_si, nc) + to_freq(c_mats, nc)
     h_dl_est_f = to_freq(est_dl, nc)
-    h_ul_est_f = to_freq(est_ul, nc)
 
     model = make_impairment_model(cfg.irr_db, cfg.iip3_dbm,
                                   pa_gain_db=cfg.pa_gain_db)
     gains_b = derive_gain_matrices(model, np.sqrt(p_b_w / cfg.n_tx_b))
-    gains_m2 = derive_gain_matrices(model, np.sqrt(p_m2_w / cfg.n_tx_m2))
 
     # --- downlink beamformer under the saturation constraint --------------
     dl = solve_dl(h_si_eff_f, h_dl_est_f, gains_b, p_b_w, cfg.lambda_b_w,
@@ -173,16 +171,24 @@ def run_frame(cfg, rng, stages="full", run_id=0, sweep_point=""):
     x_b = ofdm_modulate(s_b, dl.v, cp)
     xt_b, z_b = tx_chain(x_b, gains_b)
 
-    v_m2, g1_m2 = ul_precoder(h_ul_est_f, cfg.ul_streams, p_m2_w, nc, data)
-    s_m2 = draw_symbols(g_sym_m2, f_sym, nc, data, cfg.ul_streams)
-    x_m2 = np.concatenate(
-        [np.zeros((cfg.n_tx_m2, n_train), dtype=complex),
-         ofdm_modulate(s_m2, v_m2, cp)], axis=1)
-    xt_m2, z_m2 = tx_chain(x_m2, gains_m2)
+    # The analog stage reads no uplink. The other stages still build it
+    # here: built after the analog metrics, it changed the order of an
+    # lte20 frame's large allocations and raised its minor page faults
+    # (glibc re-maps freed heap) from about 3k to 14k-18k per frame.
+    if stages != "analog":
+        h_ul_est_f = to_freq(est_ul, nc)
+        gains_m2 = derive_gain_matrices(model, np.sqrt(p_m2_w / cfg.n_tx_m2))
+        v_m2, g1_m2 = ul_precoder(h_ul_est_f, cfg.ul_streams, p_m2_w, nc,
+                                  data)
+        s_m2 = draw_symbols(g_sym_m2, f_sym, nc, data, cfg.ul_streams)
+        x_m2 = np.concatenate(
+            [np.zeros((cfg.n_tx_m2, n_train), dtype=complex),
+             ofdm_modulate(s_m2, v_m2, cp)], axis=1)
+        xt_m2, z_m2 = tx_chain(x_m2, gains_m2)
+        ul_rx = apply_channel(xt_m2, h_ul)
 
     si_rx = apply_channel(xt_b, h_si)
     si_res = si_rx + apply_channel(xt_b, c_mats)
-    ul_rx = apply_channel(xt_m2, h_ul)
     noise_b = complex_normal(g_noise_b, si_rx.shape, cfg.sigma_b_w)
 
     pay = slice(n_train, None)
@@ -410,6 +416,8 @@ def _mc_task(args):
 
 def monte_carlo(spec, workers=1):
     """Run a scenario; deterministic in (seed, sweep point, run index)."""
+    if not (_is_a(workers, int) and workers >= 1):
+        raise ConfigError("workers must be an integer >= 1")
     tasks = []
     labels = []
     for point_idx, point in enumerate(spec.sweep):
@@ -420,11 +428,15 @@ def monte_carlo(spec, workers=1):
             tasks.append((cfg, spec.rng_seed, point_idx, run_idx,
                           spec.stages, label))
     if workers > 1:
-        # forked workers inherit the parent's multithreaded BLAS; each caps
-        # its own at one thread so the pool does not oversubscribe the CPUs
+        # numpy loads these on first use; loading them before the fork
+        # spares every worker the import in its first frame
+        import numpy.fft
+        import numpy.random
+        # workers fork at one BLAS thread, so none builds a BLAS thread pool
+        # and the pool does not oversubscribe the CPUs
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers, initializer=numerics.limit_blas_threads,
-                      initargs=(1,)) as pool:
+        with numerics.blas_threads(1), \
+                ctx.Pool(min(workers, len(tasks))) as pool:
             results = pool.map(_mc_task, tasks, chunksize=1)
     else:
         results = [_mc_task(t) for t in tasks]
@@ -595,7 +607,6 @@ def reproduce(fig, out_dir, runs=None, workers=1):
 
     Returns (written paths, failed runs, attempted runs)."""
     items = figure_scenarios(fig, runs=runs)
-    os.makedirs(out_dir, exist_ok=True)
     written = []
     results = {}
     for sc, metric, x_key, curve in items:

@@ -105,6 +105,7 @@ def test_stream_count_overrides():
     dict(si_delays_ns=(0.0, 1e300, 1e300, 1e300)),   # overflows int64
     dict(si_delays_ns=(0.0, 50.0, float("nan"), 150.0)),
     dict(si_losses_db=(40.0, 50.0, 60.0, float("inf"))),
+    dict(seed=-1),                     # SeedSequence rejects it in every run
 ])
 def test_validation_rejects(kw):
     with pytest.raises(ConfigError):

@@ -1,13 +1,14 @@
 """Conventions of the linear-algebra wrappers: ordering, shapes, failures,
-and the per-worker BLAS thread cap."""
+and the BLAS thread cap that pool workers fork under."""
 
 import ctypes
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
-from fdlink import numerics
+from fdlink import numerics, simulator
 from fdlink.config_units import SystemConfig
 from fdlink.simulator import ScenarioSpec, monte_carlo
 
@@ -95,8 +96,8 @@ def test_fft_axis_argument():
 
 
 # --- BLAS thread cap -------------------------------------------------------
-# limit_blas_threads is never called in the test process itself: only in
-# forked pool workers, whose BLAS state dies with them.
+# blas_threads caps the test process only inside its body and restores the
+# count on exit; forked pool workers keep the cap until they die.
 
 def _openblas_thread_count():
     """This process's OpenBLAS thread count, or None if none is mapped."""
@@ -120,14 +121,43 @@ def _worker_thread_count(_):
     return _openblas_thread_count()
 
 
-def test_limit_blas_threads_caps_forked_worker():
+def test_blas_threads_caps_forked_worker():
     if _openblas_thread_count() is None:
         pytest.skip("no OpenBLAS mapped")
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(2, initializer=numerics.limit_blas_threads,
-                  initargs=(1,)) as pool:
+    with numerics.blas_threads(1), ctx.Pool(2) as pool:
         counts = pool.map(_worker_thread_count, range(4), chunksize=1)
     assert counts == [1, 1, 1, 1]
+
+
+def test_blas_threads_restores_count_when_body_raises():
+    before = _openblas_thread_count()
+    if before is None:
+        pytest.skip("no OpenBLAS mapped")
+    with pytest.raises(RuntimeError, match="body failed"):
+        with numerics.blas_threads(1):
+            assert _openblas_thread_count() == 1
+            raise RuntimeError("body failed")
+    assert _openblas_thread_count() == before
+
+
+def test_monte_carlo_worker_runs_one_os_thread(monkeypatch):
+    # a worker that set its own cap after the fork re-created OpenBLAS's
+    # thread pool and carried one extra, spinning OS thread
+    if _openblas_thread_count() is None or (os.cpu_count() or 1) < 2:
+        pytest.skip("needs OpenBLAS and at least two CPUs")
+    real_run_frame = simulator.run_frame
+
+    def probe(cfg, rng, stages="full", run_id=0, sweep_point=""):
+        real_run_frame(cfg, rng, stages=stages, run_id=run_id,
+                       sweep_point=sweep_point)
+        return (_openblas_thread_count(),
+                len(os.listdir("/proc/self/task")))
+    monkeypatch.setattr(simulator, "run_frame", probe)
+    cfg = SystemConfig().override(frame_symbols=12, train_symbols=4)
+    spec = ScenarioSpec(name="t", config=cfg, runs=4, stages="analog")
+    result = monte_carlo(spec, workers=2)   # forked workers see probe
+    assert result.records == [(1, 1)] * 4
 
 
 def test_monte_carlo_pool_leaves_parent_blas_alone():

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -85,6 +86,15 @@ def test_run_frame_never_builds_the_design_matrix(monkeypatch):
     monkeypatch.setattr(digital_canceller, "build_design_matrix", boom)
     rec = run_frame(_small_cfg(), Rng(5).child(0, 0), stages="digital")
     assert np.isfinite(rec.digital_supp_db) and np.isfinite(rec.linear_supp_db)
+
+
+def test_analog_run_frame_builds_no_uplink(monkeypatch):
+    # the analog stage reads nothing of the uplink transmission
+    def boom(*args, **kwargs):
+        raise AssertionError("uplink precoder built")
+    monkeypatch.setattr(simulator, "ul_precoder", boom)
+    rec = run_frame(_small_cfg(), Rng(5).child(0, 0), stages="analog")
+    assert np.isfinite(rec.analog_supp_db)
 
 
 def _bench_layers(name):
@@ -230,6 +240,56 @@ def test_monte_carlo_survives_non_numerical_failure(monkeypatch, workers):
     assert result.failures == [("base", 1, "ValueError: synthetic bug")]
 
 
+def test_monte_carlo_pool_forks_no_idle_workers(monkeypatch):
+    started = []
+    real_start = multiprocessing.context.ForkProcess.start
+
+    def start(self):
+        started.append(self)
+        real_start(self)
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", start)
+    spec = ScenarioSpec(name="t", config=_small_cfg(), runs=2,
+                        stages="analog")
+    result = monte_carlo(spec, workers=8)
+    assert len(result.records) == 2
+    assert len(started) == 2
+
+
+@pytest.mark.parametrize("workers", [0, -3, 1.5, True])
+def test_monte_carlo_rejects_bad_worker_count(workers):
+    spec = ScenarioSpec(name="t", config=_small_cfg(), runs=1,
+                        stages="analog")
+    with pytest.raises(ConfigError, match="workers"):
+        monte_carlo(spec, workers=workers)
+
+
+_FIRST_FRAME_MODULES = """
+import json
+import sys
+from fdlink import simulator
+from fdlink.config_units import SystemConfig
+from fdlink.simulator import ScenarioSpec, monte_carlo
+
+def probe(cfg, rng, stages="full", run_id=0, sweep_point=""):
+    return ["numpy.random" in sys.modules, "numpy.fft" in sys.modules]
+
+simulator.run_frame = probe
+spec = ScenarioSpec(name="t", config=SystemConfig(), runs=4, stages="analog")
+# were numpy.random loaded here already, the check would prove nothing
+assert "numpy.random" not in sys.modules and "numpy.fft" not in sys.modules
+print(json.dumps(monte_carlo(spec, workers=2).records))
+"""
+
+
+def test_pool_workers_start_with_numpy_lazy_modules_loaded():
+    # a fresh interpreter: pytest itself has loaded numpy.random long ago
+    proc = subprocess.run([sys.executable, "-c", _FIRST_FRAME_MODULES],
+                          capture_output=True, text=True, env=_child_env(),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[True, True]] * 4
+
+
 def test_aggregate_and_curve_extraction():
     spec = ScenarioSpec(name="t", config=_small_cfg(),
                         sweep=[{"p_b_dbm": 20.0}, {"p_b_dbm": 40.0}],
@@ -373,6 +433,28 @@ def test_cli_rejects_bad_scenario_values(tmp_path, capsys, key, value):
     assert not (tmp_path / "o").exists()
 
 
+def test_cli_rejects_negative_config_seed(tmp_path, capsys):
+    path = _write_cfg(tmp_path, {"seed": -1, "frame_symbols": 4,
+                                 "train_symbols": 2})
+    assert main(["run", "--config", path, "--runs", "2",
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "seed" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_cli_rejects_bad_worker_count(tmp_path, capsys, workers):
+    path = _write_cfg(tmp_path, SMALL)
+    assert main(["run", "--config", path, "--runs", "1", "--workers", workers,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert main(["reproduce", "fig3", "--runs", "1", "--workers", workers,
+                 "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("config error") == 2 and "workers" in err
+    assert not (tmp_path / "o").exists() and not (tmp_path / "r").exists()
+
+
 def test_cli_failure_exit_code(tmp_path, monkeypatch, capsys):
     def boom(cfg, rng, stages="full", run_id=0, sweep_point=""):
         raise numerics.NumericalError("synthetic breakdown")
@@ -403,13 +485,17 @@ def test_cli_reproduce(tmp_path, capsys):
         assert (tmp_path / "fig7" / f"fig7_{which}.csv").exists(), which
 
 
-def test_console_script_help():
-    # the child imports the same fdlink as this test, installed or not
+def _child_env():
+    """The environment of a child that imports the same fdlink as this
+    test, installed or not."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_console_script_help():
     proc = subprocess.run([sys.executable, "-m", "fdlink", "--help"],
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+                          capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     for cmd in ("run", "sweep", "reproduce"):
         assert cmd in proc.stdout
