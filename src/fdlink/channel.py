@@ -4,8 +4,10 @@ self-interference channel of the full-duplex node.
 A channel is a dense stack of sample-spaced matrix taps (L, n_rx, n_tx);
 applying it is a linear convolution with zero initial history, run as one
 stacked product (L n_rx, n_tx) @ x per cache-sized column block of the frame
-with the taps' shifted adds inside the block. Frequency responses are the
-unnormalized DFT across the tap axis.
+with the taps' shifted adds inside the block. The same loop filters a
+samplewise basis of the input (the digital canceller's monomials), built one
+block at a time, so the basis is never formed for the whole frame.
+Frequency responses are the unnormalized DFT across the tap axis.
 """
 
 import numpy as np
@@ -96,11 +98,14 @@ def gen_rician_si(gen, n_rx, n_tx, delays_ns, losses_db, sample_rate_hz,
     return taps
 
 
-def apply_channel(x, taps):
-    """Linear convolution y[k] = sum_l H[l] x[k-l], zero history before k=0.
+def apply_channel(x, taps, basis=None):
+    """Linear convolution y[k] = sum_l H[l] u[k-l], zero history before k=0.
 
-    :param x: (n_tx, n_samples) frame
+    :param x: (n, n_samples) frame
     :param taps: (L, n_rx, n_tx) tap stack
+    :param basis: optional samplewise map of x's columns to n_tx rows, such
+        as build_augmented_vector; u = basis(x), built per block. Without it
+        u = x and n = n_tx.
     :returns: (n_rx, n_samples) frame (tail beyond the frame is dropped)
     """
     x = np.atleast_2d(np.asarray(x))
@@ -112,7 +117,8 @@ def apply_channel(x, taps):
     for k0 in range(0, n_samp, BLOCK):
         k1 = min(k0 + BLOCK, n_samp)
         h0 = max(k0 - n_lines + 1, 0)      # oldest input the block reaches
-        p = np.matmul(stacked, x[:, h0:k1], out=buf[:, :k1 - h0])
+        u = x[:, h0:k1] if basis is None else basis(x[:, h0:k1])
+        p = np.matmul(stacked, u, out=buf[:, :k1 - h0])
         p = p.reshape(n_lines, n_rx, k1 - h0)
         y[:, k0:k1] = p[0, :, k0 - h0:]
         for l in range(1, min(n_lines, k1)):

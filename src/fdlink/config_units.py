@@ -81,7 +81,11 @@ class Rng:
 def complex_normal(gen, shape, var=1.0):
     """Circularly symmetric complex Gaussian, CN(0, var), iid entries."""
     scale = np.sqrt(var / 2.0)
-    return scale * (gen.standard_normal(shape) + 1j * gen.standard_normal(shape))
+    out = np.empty(shape, dtype=complex)
+    draw = gen.standard_normal(shape)
+    np.multiply(scale, draw, out=out.real)
+    np.multiply(scale, gen.standard_normal(out=draw), out=out.imag)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ eigenbasis of the design matrix's Gram matrix, built from lag correlations of
 the undelayed monomial stream without forming the design matrix, is truncated
 at the smallest rank whose per-antenna residual falls to the thermal noise
 floor. The learned map is one matrix per delay line, so it is applied to the
-whole frame after the ADC as an FIR filter over that stream.
+frame after the ADC as an FIR filter over that stream. The filter builds the
+monomials one block of samples at a time, never for the whole frame; the fit
+builds them for the training window only.
 """
 
 from dataclasses import dataclass
@@ -121,15 +123,17 @@ def tsvd_estimate(psi, y, noise_var_w):
     return tsvd_fit(psi @ psi_h, y @ psi_h, y, noise_var_w)
 
 
-def cancel_signal(state, u):
+def cancel_signal(state, x, basis=None):
     """Correction signal -Theta psi[k]; add to the post-ADC frame.
 
-    :param u: (n_basis, T) undelayed basis stream the fit's design matrix
-        was built from, build_augmented_vector(x) for the full basis or x
-        for the linear_basis_mask basis. Theta holds one (n_rx, n_basis)
-        block per delay line, so it is applied as an FIR filter over u.
+    :param x: (n_tx, T) known transmit frame the fit's design matrix was
+        built from
+    :param basis: build_augmented_vector for the full basis; None for the
+        linear_basis_mask basis, which is x itself. Theta holds one
+        (n_rx, n_basis) block per delay line, so it is applied as an FIR
+        filter over basis(x), which apply_channel builds block by block.
     """
     theta = state.theta
-    n_rx = theta.shape[0]
-    taps = theta.reshape(n_rx, -1, u.shape[0]).transpose(1, 0, 2)
-    return -apply_channel(u, taps)
+    n_basis = len(x) if basis is None else len(basis(x[:, :0]))
+    taps = theta.reshape(theta.shape[0], -1, n_basis).transpose(1, 0, 2)
+    return -apply_channel(x, taps, basis)

@@ -147,10 +147,23 @@ def tx_chain(x, gains):
     :returns: (x_tilde, z) with x_tilde = g1 x + z exactly
     """
     m = gains.model
-    u = gains.drive * np.asarray(x)
-    w = m.mu1 * u + m.mu2 * np.conj(u)
-    x_tilde = m.nu1 * w + m.nu3 * (np.abs(w) ** 2) * w
-    z = x_tilde - gains.g1 * x
+    x = np.asarray(x)
+    # x_tilde = nu1 w + nu3 |w|^2 w for w = mu1 u + mu2 u*, u = drive x,
+    # each product in the operand order of that formula, written into two
+    # complex buffers and one float buffer
+    u = np.multiply(gains.drive, x)
+    w = np.conjugate(u)
+    np.multiply(m.mu2, w, out=w)
+    np.multiply(m.mu1, u, out=u)
+    np.add(u, w, out=w)
+    a = np.abs(w)
+    np.square(a, out=a)
+    np.multiply(m.nu3, a, out=a)
+    cubic = np.multiply(a, w, out=u)
+    np.multiply(m.nu1, w, out=w)
+    x_tilde = np.add(w, cubic, out=w)
+    z = np.multiply(gains.g1, x, out=cubic)
+    np.subtract(x_tilde, z, out=z)
     return x_tilde, z
 
 
@@ -197,10 +210,14 @@ def adc_quantize(y, adc, full_scale_w=None):
     step = 2.0 * amp / (2 ** adc.bits)
     top = amp - 0.5 * step
 
-    def rail(v):
-        return np.clip((np.floor(v / step) + 0.5) * step, -top, top)
-
-    return rail(y.real) + 1j * rail(y.imag)
+    out = np.empty(y.shape, dtype=complex)
+    for v, rail in ((y.real, out.real), (y.imag, out.imag)):
+        np.divide(v, step, out=rail)
+        np.floor(rail, out=rail)
+        rail += 0.5
+        rail *= step
+        np.clip(rail, -top, top, out=rail)
+    return out
 
 
 def check_saturation(power_w, threshold_w):

@@ -171,10 +171,7 @@ def run_frame(cfg, rng, stages="full", run_id=0, sweep_point=""):
     x_b = ofdm_modulate(s_b, dl.v, cp)
     xt_b, z_b = tx_chain(x_b, gains_b)
 
-    # The analog stage reads no uplink. The other stages still build it
-    # here: built after the analog metrics, it changed the order of an
-    # lte20 frame's large allocations and raised its minor page faults
-    # (glibc re-maps freed heap) from about 3k to 14k-18k per frame.
+    # The analog stage reads no uplink.
     if stages != "analog":
         h_ul_est_f = to_freq(est_ul, nc)
         gains_m2 = derive_gain_matrices(model, np.sqrt(p_m2_w / cfg.n_tx_m2))
@@ -186,6 +183,7 @@ def run_frame(cfg, rng, stages="full", run_id=0, sweep_point=""):
              ofdm_modulate(s_m2, v_m2, cp)], axis=1)
         xt_m2, z_m2 = tx_chain(x_m2, gains_m2)
         ul_rx = apply_channel(xt_m2, h_ul)
+        del x_m2, xt_m2
 
     si_rx = apply_channel(xt_b, h_si)
     si_res = si_rx + apply_channel(xt_b, c_mats)
@@ -211,19 +209,23 @@ def run_frame(cfg, rng, stages="full", run_id=0, sweep_point=""):
 
     # --- ADC and digital cancellation --------------------------------------
     y_b = si_res + ul_rx + noise_b
+    del si_res
+    if stages == "digital":            # only the full stage reads these
+        del xt_b, z_b, z_m2, ul_rx
     adc = AdcModel(bits=cfg.adc_bits, full_scale_dbm=cfg.adc_full_scale_dbm,
                    auto_range=cfg.adc_auto_range)
     fs_w = adc_full_scale(adc, y_b)
     y_q = adc_quantize(y_b, adc, fs_w)
+    del y_b
 
-    mono_b = build_augmented_vector(x_b)
     y_train = y_q[:, :n_train]
-    g, c = normal_equations(mono_b[:, :n_train], y_train, cfg.l_si)
+    g, c = normal_equations(build_augmented_vector(x_b[:, :n_train]),
+                            y_train, cfg.l_si)
     state = tsvd_fit(g, c, y_train, cfg.sigma_b_w)
     # only the payload is read past here; the filter reaches l_si - 1 back
     hist = max(n_train - cfg.l_si + 1, 0)
-    d_corr = cancel_signal(state, mono_b[:, hist:])[:, n_train - hist:]
-    del mono_b              # 6 * n_tx frame-long rows, not needed past here
+    d_corr = cancel_signal(state, x_b[:, hist:],
+                           build_augmented_vector)[:, n_train - hist:]
 
     # Shadow SI-only measurement: the same frame with the uplink muted,
     # used to isolate cancellation depth.  Kept unquantized on purpose:

@@ -61,6 +61,17 @@ def test_complex_normal_variance_and_circularity():
     assert abs(np.mean(x * x)) < 0.05
 
 
+@pytest.mark.parametrize("shape,var", [(7, 1.0), ((3, 5), 1.0),
+                                       ((4, 144672), 2.5e-13)])
+def test_complex_normal_bytes_equal_expression_oracle(shape, var):
+    got = complex_normal(np.random.default_rng(5), shape, var)
+    gen = np.random.default_rng(5)
+    a = gen.standard_normal(shape)
+    b = gen.standard_normal(shape)
+    want = np.sqrt(var / 2.0) * (a + 1j * b)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 # --- system configuration --------------------------------------------------
 
 def test_default_numerology():

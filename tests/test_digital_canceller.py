@@ -4,6 +4,7 @@ truncated-SVD fit."""
 import numpy as np
 import pytest
 
+from fdlink.channel import BLOCK, apply_channel
 from fdlink.config_units import Rng, complex_normal
 from fdlink.digital_canceller import (DigitalCancellerState,
                                       build_design_matrix, cancel_signal,
@@ -55,14 +56,14 @@ def test_cancel_signal_filter_equals_dense_design_matrix(linear_only):
     n_tx, l_si = 3, 4
     x = _frame(gen, n_tx=n_tx, t=90)
     psi = build_design_matrix(x, l_si)
-    u = build_augmented_vector(x)
+    basis = build_augmented_vector
     if linear_only:
-        psi, u = psi[linear_basis_mask(n_tx, l_si)], x
+        psi, basis = psi[linear_basis_mask(n_tx, l_si)], None
     theta = complex_normal(gen, (2, psi.shape[0]))
     state = DigitalCancellerState(theta, psi.shape[0], np.zeros(2),
                                   np.ones(psi.shape[0]))
     want = -(theta @ psi)
-    got = cancel_signal(state, u)
+    got = cancel_signal(state, x, basis)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).max()
 
 
@@ -74,15 +75,36 @@ def test_cancel_signal_on_payload_window_equals_full_frame(linear_only,
     gen = Rng(11).generator
     n_tx, l_si = 3, 4
     x = _frame(gen, n_tx=n_tx, t=90)
-    u = x if linear_only else build_augmented_vector(x)
-    theta = complex_normal(gen, (2, l_si * u.shape[0]))
+    basis = None if linear_only else build_augmented_vector
+    n_basis = n_tx if linear_only else 6 * n_tx
+    theta = complex_normal(gen, (2, l_si * n_basis))
     state = DigitalCancellerState(theta, theta.shape[1], np.zeros(2),
                                   np.ones(theta.shape[1]))
-    want = cancel_signal(state, u)[:, start:]
+    want = cancel_signal(state, x, basis)[:, start:]
     hist = max(start - l_si + 1, 0)
-    got = cancel_signal(state, u[:, hist:])[:, start - hist:]
+    got = cancel_signal(state, x[:, hist:], basis)[:, start - hist:]
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).max()
+
+
+# frame lengths around the edges of apply_channel's column blocks
+@pytest.mark.parametrize("l_si", [1, 6])
+@pytest.mark.parametrize("edge", ["B-1", "B", "B+1", "2B+L-1"])
+def test_blockwise_basis_filter_bytes_equal_whole_frame_basis(l_si, edge):
+    # the filter builds the monomials one block at a time; each block must
+    # give the same bytes as filtering the whole frame's monomial stream
+    t = {"B-1": BLOCK - 1, "B": BLOCK, "B+1": BLOCK + 1,
+         "2B+L-1": 2 * BLOCK + l_si - 1}[edge]
+    gen = Rng(12).generator
+    n_tx = 2
+    x = _frame(gen, n_tx=n_tx, t=t)
+    theta = complex_normal(gen, (3, l_si * 6 * n_tx))
+    state = DigitalCancellerState(theta, theta.shape[1], np.zeros(3),
+                                  np.ones(theta.shape[1]))
+    taps = theta.reshape(3, l_si, 6 * n_tx).transpose(1, 0, 2)
+    want = -apply_channel(build_augmented_vector(x), taps)
+    got = cancel_signal(state, x, build_augmented_vector)
+    assert np.array_equal(got, want)
 
 
 def test_normal_equations_equal_dense_products():
@@ -137,7 +159,7 @@ def test_noiseless_recovery_cancels_exactly():
     theta_true = complex_normal(gen, (3, psi.shape[0]))
     y = theta_true @ psi
     state = tsvd_estimate(psi, y, 0.0)
-    resid = y + cancel_signal(state, build_augmented_vector(x))
+    resid = y + cancel_signal(state, x, build_augmented_vector)
     assert np.max(np.abs(resid)) < 1e-10 * np.max(np.abs(y))
     rel = state.residual_power_per_antenna / np.mean(np.abs(y) ** 2, axis=1)
     assert np.all(rel < 1e-12)
@@ -177,8 +199,8 @@ def test_zero_design_matrix_guard():
     assert np.all(state.theta == 0)
     assert np.allclose(state.residual_power_per_antenna,
                        np.mean(np.abs(y) ** 2, axis=1))
-    u = build_augmented_vector(np.zeros((2, 30), dtype=complex))
-    assert np.all(cancel_signal(state, u) == 0)
+    x = np.zeros((2, 30), dtype=complex)
+    assert np.all(cancel_signal(state, x, build_augmented_vector) == 0)
 
 
 def test_rank_shrinks_as_noise_floor_rises():

@@ -120,6 +120,32 @@ def test_dual_form_identity():
     assert np.max(np.abs(x_tilde - (gains.g1 * x + z))) <= 1e-12 * scale
 
 
+def _tx_chain_oracle(x, gains):
+    """The chain as one expression per stage, with numpy's temporaries."""
+    m = gains.model
+    u = gains.drive * x
+    w = m.mu1 * u + m.mu2 * np.conj(u)
+    x_tilde = m.nu1 * w + m.nu3 * (np.abs(w) ** 2) * w
+    return x_tilde, x_tilde - gains.g1 * x
+
+
+# 4 x 320 samples (20 KB) stays under numpy's 256 KiB temporary-elision
+# threshold, 4 x 144672 (an lte20 frame) goes over it
+@pytest.mark.parametrize("n_samp", [320, 144672])
+@pytest.mark.parametrize("irr_db", [30.0, None])
+def test_tx_chain_bytes_equal_expression_oracle(n_samp, irr_db):
+    gen = np.random.default_rng(n_samp)
+    m = make_impairment_model(irr_db=irr_db, iip3_dbm=15.0)
+    gains = derive_gain_matrices(m, g1_target=np.sqrt(dbm_to_linear(40.0) / 4))
+    x = 0.01 * (gen.standard_normal((4, n_samp))
+                + 1j * gen.standard_normal((4, n_samp)))
+    x[:, :n_samp // 4] = 0.0           # a muted training window, as uplink
+    got = tx_chain(x, gains)
+    want = _tx_chain_oracle(x, gains)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
 def test_gain_block_matrix_layout():
     m = make_impairment_model()
     gains = derive_gain_matrices(m, 1.0)
@@ -199,6 +225,34 @@ def test_adc_quantize_idempotent_and_bounded():
         & (np.abs(y.imag) < np.sqrt(dbm_to_linear(-30.0)))
     err = np.abs(q - y)[inside]
     assert np.max(err) <= step / np.sqrt(2.0) + 1e-18
+
+
+def _adc_oracle(y, full_scale_w, bits):
+    """Both rails as one expression each, summed into a complex frame."""
+    amp = np.sqrt(np.asarray(full_scale_w, dtype=float))
+    if amp.ndim == 1:
+        amp = amp[:, None]
+    step = 2.0 * amp / (2 ** bits)
+    top = amp - 0.5 * step
+
+    def rail(v):
+        return np.clip((np.floor(v / step) + 0.5) * step, -top, top)
+
+    return rail(y.real) + 1j * rail(y.imag)
+
+
+@pytest.mark.parametrize("n_samp", [320, 144672])
+@pytest.mark.parametrize("per_antenna", [False, True])
+def test_adc_quantize_bytes_equal_expression_oracle(n_samp, per_antenna):
+    gen = np.random.default_rng(n_samp + per_antenna)
+    adc = AdcModel(bits=8, auto_range=per_antenna)
+    y = complex_normal_like(gen, (4, n_samp), var=dbm_to_linear(-32.0))
+    fs = adc_full_scale(adc, y)
+    if per_antenna:
+        fs = fs * np.array([0.25, 0.5, 1.0, 2.0])    # some rails clip
+    got = adc_quantize(y, adc, fs)
+    want = _adc_oracle(y, fs, adc.bits)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_adc_clipping():

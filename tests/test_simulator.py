@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -209,6 +210,21 @@ def test_long_frame_campaign_parallel_matches_serial(tmp_path):
     assert names == sorted(p.name for p in d2.glob("*.csv"))
     for name in names:
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
+
+
+def test_long_frame_memory_is_bounded():
+    # Traced peak of numpy arrays in one lte20 `digital` frame (seed 1):
+    # 226 MB when the monomial basis was built for the whole frame and
+    # every frame array lived to the end, 113 MB with the basis built per
+    # apply_channel block and each array freed after its last use. The
+    # bound sits between the two, about 40 frame-long (4 x 144672) arrays.
+    tracemalloc.start()
+    try:
+        run_frame(preset("lte20"), Rng(1).child(0, 0), stages="digital")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 160e6, f"{peak / 1e6:.1f} MB"
 
 
 def test_monte_carlo_counts_numerical_failures(monkeypatch):
