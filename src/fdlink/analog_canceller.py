@@ -31,10 +31,6 @@ class AnalogCancellerConfig:
     w: np.ndarray        # (n_taps,) complex
     shape: tuple         # (L, n_rx, n_tx) of the SI channel
 
-    @property
-    def n_taps(self):
-        return len(self.w)
-
     def matrices(self):
         """Dense (L, n_rx, n_tx) stack C[l]; untapped entries are zero."""
         out = np.zeros(self.shape, dtype=complex)

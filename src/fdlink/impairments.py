@@ -28,13 +28,6 @@ class TxImpairmentModel:
     nu1: float
     nu3: float
 
-    @property
-    def image_rejection(self):
-        """Linear image-rejection ratio |mu1/mu2|^2 (inf for an ideal mixer)."""
-        if self.mu2 == 0:
-            return np.inf
-        return abs(self.mu1 / self.mu2) ** 2
-
 
 def make_impairment_model(irr_db=30.0, iip3_dbm=15.0, pa_gain_db=38.0):
     """Build the TX impairment model.
@@ -170,44 +163,34 @@ def tx_chain(x, gains):
 # ---------------------------------------------------------------------------
 # receiver front end
 
-@dataclass(frozen=True)
-class AdcModel:
-    bits: int = 14
-    full_scale_dbm: float = -30.0
-    auto_range: bool = True
-
-
-def adc_full_scale(adc, y):
-    """Full-scale power per antenna, watts.
+def adc_full_scale(y, full_scale_dbm, auto_range):
+    """Full-scale power, watts: full_scale_dbm, or per antenna with auto_range.
 
     With auto_range the rail tracks the measured per-antenna peak rail
     amplitude (a peak-tracking AGC) but never drops below the configured
     full-scale floor, so quantization error stays within one LSB while the
     step never collapses on a cold antenna.
     """
-    floor_w = dbm_to_linear(adc.full_scale_dbm)
-    if not adc.auto_range:
+    floor_w = dbm_to_linear(full_scale_dbm)
+    if not auto_range:
         return floor_w
     y = np.atleast_2d(np.asarray(y))
     peak = np.maximum(np.abs(y.real), np.abs(y.imag)).max(axis=1)
     return np.maximum(floor_w, peak ** 2)
 
 
-def adc_quantize(y, adc, full_scale_w=None):
+def adc_quantize(y, bits, full_scale_w):
     """Uniform mid-rise quantization of I and Q rails with clipping.
 
     Each rail spans [-A, +A] with A = sqrt(full_scale_w) in 2^bits steps;
     inputs beyond the rails clip to the outermost code. The map is idempotent.
-    full_scale_w may be a scalar or per-antenna vector; if omitted it is
-    derived from the frame via adc_full_scale.
+    full_scale_w may be a scalar or per-antenna vector (see adc_full_scale).
     """
     y = np.asarray(y)
-    if full_scale_w is None:
-        full_scale_w = adc_full_scale(adc, y)
     amp = np.sqrt(np.asarray(full_scale_w, dtype=float))
     if amp.ndim == 1 and y.ndim == 2:
         amp = amp[:, None]
-    step = 2.0 * amp / (2 ** adc.bits)
+    step = 2.0 * amp / (2 ** bits)
     top = amp - 0.5 * step
 
     out = np.empty(y.shape, dtype=complex)

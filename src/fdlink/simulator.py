@@ -1,12 +1,13 @@
 """Monte Carlo link simulator for the three-node full-duplex scenario.
 
-Each run draws a block-fading channel set, builds the analog canceller from
-estimated CSI, solves the downlink beamformer under the RF saturation
-constraint, transmits one continuous frame (digital-canceller training
-symbols with the uplink muted, then payload), trains the adaptive digital
-canceller post-ADC, and measures suppression, saturation, PSD and rate
-metrics. Runs are deterministic in (seed, sweep point, run index) and
-embarrassingly parallel.
+`run_frame` runs one coherence block as a sequence of stage functions:
+channels and CSI, the analog canceller, the downlink beamformer under the
+RF saturation constraint with one continuous frame (digital-canceller
+training symbols with the uplink muted, then payload), the uplink, the ADC,
+the digital canceller, and the rates against a half-duplex baseline. Each
+stage draws from its own child stream, and `stages` stops the chain after
+the analog or the digital metrics. Runs are deterministic in (seed, sweep
+point, run index) and embarrassingly parallel.
 """
 
 import csv
@@ -21,7 +22,7 @@ from .config_units import (Rng, SystemConfig, ConfigError, _is_a,
                            complex_normal, dbm_to_linear, linear_to_db,
                            linear_to_dbm, preset)
 from .waveform import draw_symbols, ofdm_modulate, ofdm_demodulate, frame_power
-from .impairments import (AdcModel, adc_full_scale, adc_quantize,
+from .impairments import (adc_full_scale, adc_quantize,
                           build_augmented_vector, check_saturation,
                           derive_gain_matrices, make_impairment_model,
                           tx_chain)
@@ -82,22 +83,25 @@ def _per_antenna_db(p_num, p_den):
     return float(np.mean(linear_to_db(p_num / p_den)))
 
 
-def _bin_cov(frames, nc, cp, data):
+def _bin_cov(cfg, frames):
     """Per-data-bin sample covariance over OFDM symbols, (nd, n, n)."""
-    zf = ofdm_demodulate(frames, nc, cp)[:, data, :]         # (sym, nd, n)
+    zf = ofdm_demodulate(frames, cfg.nc, cfg.cp_len)[:, cfg.data_idx, :]
     zf = zf.transpose(1, 2, 0)
     return (zf @ zf.conj().transpose(0, 2, 1)) / zf.shape[2]
 
 
-def _measured_rate(y_frames, u_f, s_known, nc, cp, data):
-    """Mean data-bin rate with empirical combined-domain IpN.
+def _measured_rate(cfg, y_frames, u_f, s):
+    """Mean data-bin rate of the symbols s (sym, nc, d) received as y_frames
+    and combined by u_f, with empirical combined-domain IpN.
 
     The per-bin effective channel is refit from the payload by least
     squares (the demod reference a receiver would estimate from the
     frame), so raw CSI error does not masquerade as interference.
     """
-    yf = ofdm_demodulate(y_frames, nc, cp)[:, data, :]       # (sym, nd, n_rx)
+    data = cfg.data_idx
+    yf = ofdm_demodulate(y_frames, cfg.nc, cfg.cp_len)[:, data, :]
     u = u_f[data]                                            # (nd, n_rx, d)
+    s_known = s[:, data, :]
     comb = np.einsum("nrd,snr->snd", u.conj(), yf)           # U^H y
     cross = np.einsum("snd,sne->nde", comb, s_known.conj())
     gram = np.einsum("snd,sne->nde", s_known, s_known.conj())
@@ -115,81 +119,138 @@ def _measured_rate(y_frames, u_f, s_known, nc, cp, data):
     return float(np.mean(rate_bits(s_mat, q)))
 
 
-def run_frame(cfg, rng, stages="full", run_id=0, sweep_point=""):
-    """Simulate one coherence block and return its MetricsRecord."""
-    if stages not in STAGES:
-        raise ConfigError(f"stages must be one of {STAGES}")
-    nc, cp = cfg.nc, cfg.cp_len
-    data = cfg.data_idx
-    fs = cfg.sample_rate_hz
-    p_b_w = dbm_to_linear(cfg.p_b_dbm)
-    p_m2_w = dbm_to_linear(cfg.p_m2_dbm)
-
-    g_ch = rng.child(0).generator
-    g_est = rng.child(1).generator
-    g_quant = rng.child(2).generator
-    g_probe = rng.child(3).generator
-    g_sym_b = rng.child(4).generator
-    g_sym_m2 = rng.child(5).generator
-    g_noise_b = rng.child(6).generator
-    g_noise_m1 = rng.child(7).generator
-    g_hd = rng.child(8).generator
-
-    # --- channels and CSI -------------------------------------------------
+def _channels(cfg, rng):
+    """Draw the SI, downlink and uplink channels and their CSI estimates."""
+    g_ch, g_est = rng.child(0).generator, rng.child(1).generator
     h_si = gen_rician_si(g_ch, cfg.n_rx_b, cfg.n_tx_b, cfg.si_delays_ns,
-                         cfg.si_losses_db, fs, cfg.k_direct_db)
+                         cfg.si_losses_db, cfg.sample_rate_hz, cfg.k_direct_db)
     h_dl = gen_rayleigh(g_ch, cfg.n_rx_m1, cfg.n_tx_b, cfg.l_dl,
                         cfg.pathloss_dl_db, cfg.delay_profile)
     h_ul = gen_rayleigh(g_ch, cfg.n_rx_b, cfg.n_tx_m2, cfg.l_ul,
                         cfg.pathloss_ul_db, cfg.delay_profile)
-    est_si = estimate_with_mse(h_si, cfg.channel_mse_db, g_est)
-    est_dl = estimate_with_mse(h_dl, cfg.channel_mse_db, g_est)
-    est_ul = estimate_with_mse(h_ul, cfg.channel_mse_db, g_est)
+    est = [estimate_with_mse(h, cfg.channel_mse_db, g_est)
+           for h in (h_si, h_dl, h_ul)]
+    return (h_si, h_dl, h_ul), est
 
+
+def _analog_canceller(cfg, est_si, rng):
+    """Tap the estimated SI channel; returns the canceller's tap stack."""
     canc = build_canceller(est_si, cfg.n_taps, greedy=cfg.greedy_taps)
     if cfg.tap_quantization:
-        canc = quantize_taps(canc, g_quant, cfg.attenuation_step_db,
-                             cfg.phase_step_deg)
-    c_mats = canc.matrices()
+        canc = quantize_taps(canc, rng.child(2).generator,
+                             cfg.attenuation_step_db, cfg.phase_step_deg)
+    return canc.matrices()
 
+
+def _uplink(cfg, model, est_ul, h_ul, rng):
+    """The uplink frame, muted over the training window, at the node:
+    returns ((channel estimate, precoder, gain, symbols), z_m2, ul_rx)."""
+    nc, cp, data = cfg.nc, cfg.cp_len, cfg.data_idx
+    p_m2_w = dbm_to_linear(cfg.p_m2_dbm)
+    h_ul_est_f = to_freq(est_ul, nc)
+    gains_m2 = derive_gain_matrices(model, np.sqrt(p_m2_w / cfg.n_tx_m2))
+    v_m2, g1_m2 = ul_precoder(h_ul_est_f, cfg.ul_streams, p_m2_w, nc, data)
+    s_m2 = draw_symbols(rng.child(5).generator, cfg.frame_symbols, nc, data,
+                        cfg.ul_streams)
+    x_m2 = np.concatenate(
+        [np.zeros((cfg.n_tx_m2, cfg.train_symbols * (nc + cp)), dtype=complex),
+         ofdm_modulate(s_m2, v_m2, cp)], axis=1)
+    xt_m2, z_m2 = tx_chain(x_m2, gains_m2)
+    return (h_ul_est_f, v_m2, g1_m2, s_m2), z_m2, apply_channel(xt_m2, h_ul)
+
+
+def _adc(cfg, y):
+    """Quantize y on the configured ADC."""
+    return adc_quantize(y, cfg.adc_bits, adc_full_scale(
+        y, cfg.adc_full_scale_dbm, cfg.adc_auto_range))
+
+
+def _ul_rate(cfg, ul, y, **interference):
+    """Uplink rate of payload y through ul_combiner for these covariances."""
+    h_ul_est_f, v_m2, g1_m2, s_m2 = ul
+    u_b = ul_combiner(h_ul_est_f, v_m2, g1_m2, cfg.ul_streams, cfg.sigma_b_w,
+                      cfg.nc, cfg.data_idx, **interference)
+    return _measured_rate(cfg, y, u_b, s_m2)
+
+
+def _dl_rate(cfg, xt, h_dl, u, s, gen):
+    """Downlink rate of the frame xt whose last symbols carry s (sym, nc, d),
+    received with noise from gen and combined by u."""
+    y_m1 = apply_channel(xt, h_dl) + complex_normal(
+        gen, (cfg.n_rx_m1, xt.shape[1]), cfg.sigma_m1_w)
+    n_pay = len(s) * (cfg.nc + cfg.cp_len)
+    return _measured_rate(cfg, y_m1[:, -n_pay:], u, s)
+
+
+def _half_duplex(cfg, h_dl, h_dl_est_f, gains_b, ul, ul_pay, z_m2_cov, rng):
+    """Half-duplex rate on the same channels, each link on half the time:
+    unconstrained downlink eigenbeamforming at full stream count, and the
+    uplink payload ul_pay (noise included) without the node's transmitter."""
+    nc, cp, data = cfg.nc, cfg.cp_len, cfg.data_idx
+    g_hd = rng.child(8).generator
+    a_hd = cfg.dl_streams
+    uh, _, vh = numerics.svd(h_dl_est_f[data])
+    v_hd = full_bins(nc, data, vh[:, :, :a_hd])
+    u_hd = full_bins(nc, data, uh[:, :, :a_hd])
+    s_hd = draw_symbols(g_hd, cfg.frame_symbols, nc, data, a_hd)
+    xt_hd, _ = tx_chain(ofdm_modulate(s_hd, v_hd, cp), gains_b)
+    dl_hd = _dl_rate(cfg, xt_hd, h_dl, u_hd, s_hd, g_hd)
+    ul_hd = _ul_rate(cfg, ul, _adc(cfg, ul_pay), z_m2_cov=z_m2_cov)
+    return 0.5 * (dl_hd + ul_hd)
+
+
+def _digital_cancel(cfg, x_b, y_train):
+    """Fit the digital canceller on the training window, with all monomials
+    and with the linear taps only; returns each fit's payload correction and
+    the full fit's TSVD rank."""
+    n_train = y_train.shape[1]
+    g, c = normal_equations(build_augmented_vector(x_b[:, :n_train]),
+                            y_train, cfg.l_si)
+    state = tsvd_fit(g, c, y_train, cfg.sigma_b_w)
+    # only the payload is read past here; the filter reaches l_si - 1 back
+    hist = max(n_train - cfg.l_si + 1, 0)
+    d_corr = cancel_signal(state, x_b[:, hist:],
+                           build_augmented_vector)[:, n_train - hist:]
+    lin = linear_basis_mask(cfg.n_tx_b, cfg.l_si)
+    state_lin = tsvd_fit(g[np.ix_(lin, lin)], c[:, lin], y_train,
+                         cfg.sigma_b_w)
+    d_lin = cancel_signal(state_lin, x_b[:, hist:])[:, n_train - hist:]
+    return d_corr, d_lin, float(state.rank_used)
+
+
+def run_frame(cfg, rng, stages="full", run_id=0, sweep_point=""):
+    """Simulate one coherence block and return its MetricsRecord."""
+    if stages not in STAGES:
+        raise ConfigError(f"stages must be one of {STAGES}")
+    nc, cp, data = cfg.nc, cfg.cp_len, cfg.data_idx
+    p_b_w = dbm_to_linear(cfg.p_b_dbm)
+    n_train = cfg.train_symbols * (nc + cp)
+    pay = slice(n_train, None)
+
+    (h_si, h_dl, h_ul), (est_si, est_dl, est_ul) = _channels(cfg, rng)
+    c_mats = _analog_canceller(cfg, est_si, rng)
     h_si_eff_f = to_freq(est_si, nc) + to_freq(c_mats, nc)
     h_dl_est_f = to_freq(est_dl, nc)
 
+    # --- downlink beamformer and frame: training (UL muted), then payload ---
     model = make_impairment_model(cfg.irr_db, cfg.iip3_dbm,
                                   pa_gain_db=cfg.pa_gain_db)
     gains_b = derive_gain_matrices(model, np.sqrt(p_b_w / cfg.n_tx_b))
-
-    # --- downlink beamformer under the saturation constraint --------------
     dl = solve_dl(h_si_eff_f, h_dl_est_f, gains_b, p_b_w, cfg.lambda_b_w,
-                  nc, data, cp, g_probe, alpha_cap=cfg.dl_streams)
-
-    # --- one continuous frame: training (UL muted) then payload -----------
-    t_sym, f_sym = cfg.train_symbols, cfg.frame_symbols
-    sym_len = nc + cp
-    n_train = t_sym * sym_len
-    s_b = draw_symbols(g_sym_b, t_sym + f_sym, nc, data, dl.alpha)
+                  nc, data, cp, rng.child(3).generator,
+                  alpha_cap=cfg.dl_streams)
+    s_b = draw_symbols(rng.child(4).generator,
+                       cfg.train_symbols + cfg.frame_symbols, nc, data,
+                       dl.alpha)
     x_b = ofdm_modulate(s_b, dl.v, cp)
     xt_b, z_b = tx_chain(x_b, gains_b)
-
-    # The analog stage reads no uplink.
-    if stages != "analog":
-        h_ul_est_f = to_freq(est_ul, nc)
-        gains_m2 = derive_gain_matrices(model, np.sqrt(p_m2_w / cfg.n_tx_m2))
-        v_m2, g1_m2 = ul_precoder(h_ul_est_f, cfg.ul_streams, p_m2_w, nc,
-                                  data)
-        s_m2 = draw_symbols(g_sym_m2, f_sym, nc, data, cfg.ul_streams)
-        x_m2 = np.concatenate(
-            [np.zeros((cfg.n_tx_m2, n_train), dtype=complex),
-             ofdm_modulate(s_m2, v_m2, cp)], axis=1)
-        xt_m2, z_m2 = tx_chain(x_m2, gains_m2)
-        ul_rx = apply_channel(xt_m2, h_ul)
-        del x_m2, xt_m2
+    if stages != "analog":             # the analog stage reads no uplink
+        ul, z_m2, ul_rx = _uplink(cfg, model, est_ul, h_ul, rng)
 
     si_rx = apply_channel(xt_b, h_si)
     si_res = si_rx + apply_channel(xt_b, c_mats)
-    noise_b = complex_normal(g_noise_b, si_rx.shape, cfg.sigma_b_w)
-
-    pay = slice(n_train, None)
+    noise_b = complex_normal(rng.child(6).generator, si_rx.shape,
+                             cfg.sigma_b_w)
 
     # --- analog-stage metrics (payload window, noise-inclusive) -----------
     p_res = frame_power(si_res[:, pay])
@@ -207,25 +268,23 @@ def run_frame(cfg, rng, stages="full", run_id=0, sweep_point=""):
     if stages == "analog":
         return rec
 
+    # --- rate work that reads nothing past the ADC, done first so that the
+    # frame arrays below are freed at the same point for every `stages` -----
+    if stages == "full":
+        cov_z_b = _bin_cov(cfg, z_b[:, pay])
+        cov_z_m2 = _bin_cov(cfg, z_m2[:, pay])
+        rec.dl_rate = _dl_rate(cfg, xt_b, h_dl, dl.u, s_b[cfg.train_symbols:],
+                               rng.child(7).generator)
+        rec.hd_rate = _half_duplex(cfg, h_dl, h_dl_est_f, gains_b, ul,
+                                   ul_rx[:, pay] + noise_b[:, pay], cov_z_m2,
+                                   rng)
+
     # --- ADC and digital cancellation --------------------------------------
     y_b = si_res + ul_rx + noise_b
-    del si_res
-    if stages == "digital":            # only the full stage reads these
-        del xt_b, z_b, z_m2, ul_rx
-    adc = AdcModel(bits=cfg.adc_bits, full_scale_dbm=cfg.adc_full_scale_dbm,
-                   auto_range=cfg.adc_auto_range)
-    fs_w = adc_full_scale(adc, y_b)
-    y_q = adc_quantize(y_b, adc, fs_w)
+    del si_res, xt_b, z_b, z_m2, ul_rx
+    y_q = _adc(cfg, y_b)
     del y_b
-
-    y_train = y_q[:, :n_train]
-    g, c = normal_equations(build_augmented_vector(x_b[:, :n_train]),
-                            y_train, cfg.l_si)
-    state = tsvd_fit(g, c, y_train, cfg.sigma_b_w)
-    # only the payload is read past here; the filter reaches l_si - 1 back
-    hist = max(n_train - cfg.l_si + 1, 0)
-    d_corr = cancel_signal(state, x_b[:, hist:],
-                           build_augmented_vector)[:, n_train - hist:]
+    d_corr, d_lin, rec.tsvd_rank = _digital_cancel(cfg, x_b, y_q[:, :n_train])
 
     # Shadow SI-only measurement: the same frame with the uplink muted,
     # used to isolate cancellation depth.  Kept unquantized on purpose:
@@ -234,21 +293,14 @@ def run_frame(cfg, rng, stages="full", run_id=0, sweep_point=""):
     # composite signal adds clip artifacts that belong to the live path,
     # not to the canceller under measurement.
     after = mid + d_corr
-    rec.tsvd_rank = float(state.rank_used)
     rec.digital_supp_db = _per_antenna_db(frame_power(mid), frame_power(after))
     rec.total_supp_db = _per_antenna_db(frame_power(before), frame_power(after))
     rec.isr_db = float(linear_to_db(np.sum(frame_power(after))
                                     / np.sum(frame_power(si_rx[:, pay]))))
-
     # linear-taps-only baseline canceller on the same training data
-    lin = linear_basis_mask(cfg.n_tx_b, cfg.l_si)
-    state_lin = tsvd_fit(g[np.ix_(lin, lin)], c[:, lin], y_train,
-                         cfg.sigma_b_w)
-    d_lin = cancel_signal(state_lin, x_b[:, hist:])[:, n_train - hist:]
     after_lin = mid + d_lin
     rec.linear_supp_db = _per_antenna_db(frame_power(mid),
                                          frame_power(after_lin))
-
     rec.psd_before = compute_psd(before, nc, cp)
     rec.psd_analog = compute_psd(mid, nc, cp)
     rec.psd_digital = compute_psd(after, nc, cp)
@@ -256,48 +308,12 @@ def run_frame(cfg, rng, stages="full", run_id=0, sweep_point=""):
     if stages == "digital":
         return rec
 
-    # --- uplink combiner and rate metrics ----------------------------------
-    cov_z_b = _bin_cov(z_b[:, pay], nc, cp, data)
-    cov_z_m2 = _bin_cov(z_m2[:, pay], nc, cp, data)
-    cov_d = _bin_cov(d_corr, nc, cp, data)
-
-    u_b = ul_combiner(h_ul_est_f, v_m2, g1_m2, cfg.ul_streams, cfg.sigma_b_w,
-                      nc, data, h_si_eff_f=h_si_eff_f, v_b=dl.v, g1_b=dl.g1,
-                      z_b_cov=cov_z_b, z_m2_cov=cov_z_m2, d_cov=cov_d)
-
-    ul_rate = _measured_rate(y_q[:, pay] + d_corr, u_b, s_m2[:, data, :],
-                             nc, cp, data)
-
-    noise_m1 = complex_normal(g_noise_m1, (cfg.n_rx_m1, si_rx.shape[1]),
-                              cfg.sigma_m1_w)
-    y_m1 = apply_channel(xt_b, h_dl) + noise_m1
-    dl_rate = _measured_rate(y_m1[:, pay], dl.u, s_b[t_sym:, data, :],
-                             nc, cp, data)
-
-    # --- half-duplex baseline on the same channels -------------------------
-    # Downlink: unconstrained eigenbeamforming at full stream count.
-    a_hd = cfg.dl_streams
-    uh, _, vh = numerics.svd(h_dl_est_f[data])
-    v_hd = full_bins(nc, data, vh[:, :, :a_hd])
-    u_hd = full_bins(nc, data, uh[:, :, :a_hd])
-    s_hd = draw_symbols(g_hd, f_sym, nc, data, a_hd)
-    x_hd = ofdm_modulate(s_hd, v_hd, cp)
-    xt_hd, _ = tx_chain(x_hd, gains_b)
-    y_m1_hd = apply_channel(xt_hd, h_dl) + complex_normal(
-        g_hd, (cfg.n_rx_m1, x_hd.shape[1]), cfg.sigma_m1_w)
-    dl_hd = _measured_rate(y_m1_hd, u_hd, s_hd[:, data, :], nc, cp, data)
-
-    # Uplink: same uplink transmission without the node's own transmitter.
-    y_ul_hd = ul_rx[:, pay] + noise_b[:, pay]
-    y_ul_hd = adc_quantize(y_ul_hd, adc)
-    u_b_hd = ul_combiner(h_ul_est_f, v_m2, g1_m2, cfg.ul_streams,
-                         cfg.sigma_b_w, nc, data, z_m2_cov=cov_z_m2)
-    ul_hd = _measured_rate(y_ul_hd, u_b_hd, s_m2[:, data, :], nc, cp, data)
-
-    rec.dl_rate = dl_rate
-    rec.ul_rate = ul_rate
-    rec.fd_rate = dl_rate + ul_rate
-    rec.hd_rate = 0.5 * (dl_hd + ul_hd)
+    # --- uplink combiner and rate ------------------------------------------
+    rec.ul_rate = _ul_rate(cfg, ul, y_q[:, pay] + d_corr,
+                           h_si_eff_f=h_si_eff_f, v_b=dl.v, g1_b=dl.g1,
+                           z_b_cov=cov_z_b, z_m2_cov=cov_z_m2,
+                           d_cov=_bin_cov(cfg, d_corr))
+    rec.fd_rate = rec.dl_rate + rec.ul_rate
     return rec
 
 

@@ -150,7 +150,7 @@ def test_n_taps_budget_counts_shared_sample_lines(lines, dup, offsets_ns,
     # both sides accept an interval [1, budget], so the top decides
     h = gen_rician_si(np.random.default_rng(seed), 4, 4, delays, losses,
                       cfg.sample_rate_hz, cfg.k_direct_db)
-    assert build_canceller(h, cfg.n_taps).n_taps == budget
+    assert len(build_canceller(h, cfg.n_taps).w) == budget
     with pytest.raises(ConfigError):
         cfg.override(n_taps=budget + 1)
 
