@@ -159,11 +159,9 @@ class SystemConfig:
     # channel knowledge
     channel_mse_db: float | None = None     # None = ideal estimates
 
-    # Monte Carlo controls
-    mc_runs: int = 100
+    # frame length in OFDM symbols
     frame_symbols: int = 50
     train_symbols: int = 16
-    seed: int = 1
 
     def __post_init__(self):
         for f in fields(self):
@@ -268,11 +266,9 @@ class SystemConfig:
             raise ConfigError("irr_db must be positive (or None for ideal)")
         if c.adc_bits < 2 or c.adc_bits > 24:
             raise ConfigError("adc_bits out of range")
-        for name in ("mc_runs", "frame_symbols", "train_symbols"):
+        for name in ("frame_symbols", "train_symbols"):
             if getattr(c, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if c.seed < 0:                 # SeedSequence rejects it in every run
-            raise ConfigError("seed must be >= 0")
 
     # -- serialization -------------------------------------------------------
 
@@ -284,6 +280,8 @@ class SystemConfig:
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ConfigError(f"config must be a JSON object, got {d!r}")
         known = {f.name for f in fields(cls)}
         unknown = set(d) - known
         if unknown:

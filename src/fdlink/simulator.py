@@ -14,6 +14,7 @@ import csv
 import multiprocessing
 import os
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -322,12 +323,13 @@ def run_frame(cfg, rng, stages="full", run_id=0, sweep_point=""):
 
 @dataclass
 class ScenarioSpec:
-    """A named simulation campaign: base config, sweep points, run count."""
-    name: str
+    """A named simulation campaign: a base config, the sweep points that
+    override it, and the run count and seed of every point."""
+    name: str = "scenario"
     config: SystemConfig = field(default_factory=SystemConfig)
     sweep: list = field(default_factory=lambda: [{}])
-    runs: int | None = None            # None: config.mc_runs
-    seed: int | None = None            # None: config.seed
+    runs: int = 100
+    seed: int = 1
     stages: str = "full"
 
     def __post_init__(self):
@@ -335,12 +337,23 @@ class ScenarioSpec:
             raise ConfigError(f"stages must be one of {STAGES}")
         for name, low in (("runs", 1), ("seed", 0)):   # SeedSequence: >= 0
             v = getattr(self, name)
-            if v is not None and not (_is_a(v, int) and v >= low):
-                raise ConfigError(f"{name} must be an integer >= {low} or null")
-        if not self.sweep:
-            raise ConfigError("sweep must contain at least one point")
-        for point in self.sweep:
-            self.point_config(point)   # validates overrides eagerly
+            if not (_is_a(v, int) and v >= low):
+                raise ConfigError(f"{name} must be an integer >= {low}")
+        if not (isinstance(self.sweep, list) and self.sweep
+                and all(isinstance(p, dict) for p in self.sweep)):
+            raise ConfigError("sweep must be a non-empty list of objects")
+        labels = self.labels
+        for i, (point, label) in enumerate(zip(self.sweep, labels)):
+            if label in labels[:i]:
+                raise ConfigError(f"sweep label {label!r} is not unique")
+            cfg = self.point_config(point)     # validates overrides eagerly
+            # the rate fit solves d unknowns per bin from the payload and
+            # estimates a d x d residual covariance from the rest
+            d = max(cfg.dl_streams, cfg.ul_streams)
+            if self.stages == "full" and cfg.frame_symbols < 2 * d:
+                raise ConfigError(
+                    f"sweep point {label!r}: frame_symbols must be >= "
+                    f"{2 * d} (2 per stream) for stages 'full'")
 
     def point_config(self, point):
         kw = {k: v for k, v in point.items() if k != "label"}
@@ -357,38 +370,35 @@ class ScenarioSpec:
         return ",".join(f"{k}={point[k]}" for k in sorted(point))
 
     @property
-    def n_runs(self):
-        return self.runs if self.runs is not None else self.config.mc_runs
-
-    @property
-    def rng_seed(self):
-        return self.seed if self.seed is not None else self.config.seed
-
-    def to_dict(self):
-        return {"name": self.name, "config": self.config.to_dict(),
-                "sweep": self.sweep, "runs": self.runs, "seed": self.seed,
-                "stages": self.stages}
+    def labels(self):
+        return [self.point_label(p) for p in self.sweep]
 
     @classmethod
     def from_dict(cls, d):
-        known = {"name", "config", "sweep", "runs", "seed", "stages"}
-        unknown = set(d) - known
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown scenario fields: {sorted(unknown)}")
-        cfg = d.get("config", {})
-        if not isinstance(cfg, SystemConfig):
-            cfg = SystemConfig.from_dict(cfg)
-        return cls(name=d.get("name", "scenario"), config=cfg,
-                   sweep=d.get("sweep") or [{}], runs=d.get("runs"),
-                   seed=d.get("seed"), stages=d.get("stages", "full"))
+        if "config" in d:
+            d = {**d, "config": SystemConfig.from_dict(d["config"])}
+        return cls(**d)
+
+
+class RunFailure(NamedTuple):
+    """A run that raised, recorded in place of its MetricsRecord."""
+    label: str
+    run_id: int
+    message: str
 
 
 @dataclass
 class MonteCarloResult:
     spec: ScenarioSpec
     records: list                      # completed MetricsRecords
-    failures: list                     # (label, run_id, message)
-    labels: list
+    failures: list                     # RunFailures
+
+    @property
+    def labels(self):
+        return self.spec.labels
 
     @property
     def attempted(self):
@@ -429,7 +439,7 @@ def _mc_task(args):
         return run_frame(cfg, rng, stages=stages, run_id=run_idx,
                          sweep_point=label)
     except Exception as exc:       # one bad run must not end the campaign
-        return ("failure", label, run_idx, f"{type(exc).__name__}: {exc}")
+        return RunFailure(label, run_idx, f"{type(exc).__name__}: {exc}")
 
 
 def monte_carlo(spec, workers=1):
@@ -437,14 +447,10 @@ def monte_carlo(spec, workers=1):
     if not (_is_a(workers, int) and workers >= 1):
         raise ConfigError("workers must be an integer >= 1")
     tasks = []
-    labels = []
-    for point_idx, point in enumerate(spec.sweep):
+    for point_idx, (point, label) in enumerate(zip(spec.sweep, spec.labels)):
         cfg = spec.point_config(point)
-        label = spec.point_label(point)
-        labels.append(label)
-        for run_idx in range(spec.n_runs):
-            tasks.append((cfg, spec.rng_seed, point_idx, run_idx,
-                          spec.stages, label))
+        tasks += [(cfg, spec.seed, point_idx, run_idx, spec.stages, label)
+                  for run_idx in range(spec.runs)]
     if workers > 1:
         # numpy loads these on first use; loading them before the fork
         # spares every worker the import in its first frame
@@ -458,14 +464,10 @@ def monte_carlo(spec, workers=1):
             results = pool.map(_mc_task, tasks, chunksize=1)
     else:
         results = [_mc_task(t) for t in tasks]
-    records, failures = [], []
-    for res in results:
-        if isinstance(res, tuple) and res and res[0] == "failure":
-            failures.append(res[1:])
-        else:
-            records.append(res)
-    return MonteCarloResult(spec=spec, records=records, failures=failures,
-                            labels=labels)
+    return MonteCarloResult(
+        spec=spec,
+        records=[r for r in results if not isinstance(r, RunFailure)],
+        failures=[r for r in results if isinstance(r, RunFailure)])
 
 
 # ---------------------------------------------------------------------------
@@ -480,37 +482,33 @@ def _fmt(v):
     return f"{v:.9g}"
 
 
-def write_runs_csv(result, path):
+def _write_rows(path, header, rows):
     with open(path, "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
-        w.writerow(CSV_FIELDS)
-        for r in result.records:
-            w.writerow([_fmt(getattr(r, n)) if n != "sweep_point"
-                        else r.sweep_point for n in CSV_FIELDS])
+        w.writerow(header)
+        w.writerows(rows)
     return path
+
+
+def write_runs_csv(result, path):
+    return _write_rows(path, CSV_FIELDS, (
+        [r.sweep_point if n == "sweep_point" else _fmt(getattr(r, n))
+         for n in CSV_FIELDS] for r in result.records))
 
 
 def write_aggregate_csv(result, path):
     agg = result.aggregate()
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["sweep_point", "metric", "mean", "stderr", "n"])
-        for label in result.labels:
-            for name in METRIC_FIELDS:
-                if name not in agg[label]:
-                    continue
-                mean, err, n = agg[label][name]
-                w.writerow([label, name, _fmt(mean), _fmt(err), n])
-    return path
+    header = ["sweep_point", "metric", "mean", "stderr", "n"]
+    return _write_rows(path, header, (
+        [label, name, _fmt(mean), _fmt(err), n]
+        for label in result.labels
+        for name, (mean, err, n) in agg[label].items()))
 
 
 def write_curve_csv(path, x_name, xs, means, stderrs, ns):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow([x_name, "mean", "stderr", "n"])
-        for row in zip(xs, means, stderrs, ns):
-            w.writerow([_fmt(row[0]), _fmt(row[1]), _fmt(row[2]), int(row[3])])
-    return path
+    return _write_rows(path, [x_name, "mean", "stderr", "n"], (
+        [_fmt(x), _fmt(mean), _fmt(err), int(n)]
+        for x, mean, err, n in zip(xs, means, stderrs, ns)))
 
 
 def write_psd_csv(path, psd_watts, cfg):
@@ -518,28 +516,17 @@ def write_psd_csv(path, psd_watts, cfg):
     freqs = np.fft.fftfreq(cfg.nc, d=cfg.sample_period_s)
     order = np.argsort(freqs, kind="stable")
     dbm = linear_to_dbm(np.asarray(psd_watts))
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["freq_hz", "psd_dbm"])
-        for i in order:
-            w.writerow([_fmt(freqs[i]), _fmt(dbm[i])])
-    return path
+    return _write_rows(path, ["freq_hz", "psd_dbm"],
+                       ([_fmt(freqs[i]), _fmt(dbm[i])] for i in order))
 
 
-def curve_from_result(result, spec, metric, x_key):
+def curve_from_result(result, metric, x_key):
     """Extract (xs, means, stderrs, ns) for one metric across the sweep."""
     agg = result.aggregate()
-    xs, means, errs, ns = [], [], [], []
-    for point in spec.sweep:
-        label = spec.point_label(point)
-        if metric not in agg.get(label, {}):
-            continue
-        mean, err, n = agg[label][metric]
-        xs.append(point.get(x_key, np.nan))
-        means.append(mean)
-        errs.append(err)
-        ns.append(n)
-    return xs, means, errs, ns
+    rows = [(point.get(x_key, np.nan), *agg[label][metric])
+            for point, label in zip(result.spec.sweep, result.labels)
+            if metric in agg[label]]
+    return tuple(list(col) for col in zip(*rows)) or ([], [], [], [])
 
 
 def write_scenario_outputs(result, out_dir):
@@ -571,14 +558,16 @@ def _power_points(**extra):
 
 def figure_scenarios(fig, runs=None):
     """ScenarioSpecs backing each reference figure, plus curve extraction
-    hints as (scenario, metric, x_key, curve_name) tuples."""
+    hints as (scenario, metric, x_key, curve_name) tuples. runs=None keeps
+    ScenarioSpec's default run count."""
     base = SystemConfig()
     single = base.override(**_SINGLE_ANT)
     items = []
+    run_count = {} if runs is None else {"runs": runs}
 
     def spec(name, config, sweep, stages):
         return ScenarioSpec(name=name, config=config, sweep=sweep,
-                            runs=runs, stages=stages)
+                            stages=stages, **run_count)
 
     if fig in ("fig3", "fig4"):
         users = single if fig == "fig3" else base
@@ -624,27 +613,26 @@ def reproduce(fig, out_dir, runs=None, workers=1):
     """Run the campaigns behind one reference figure; write plot CSVs.
 
     Returns (written paths, failed runs, attempted runs)."""
-    items = figure_scenarios(fig, runs=runs)
     written = []
     results = {}
-    for sc, metric, x_key, curve in items:
+    for sc, metric, x_key, curve in figure_scenarios(fig, runs=runs):
         if sc.name not in results:
             results[sc.name] = monte_carlo(sc, workers=workers)
             written += write_scenario_outputs(
                 results[sc.name], os.path.join(out_dir, sc.name))
         res = results[sc.name]
-        xs, means, errs, ns = curve_from_result(res, sc, metric, x_key)
+        xs, means, errs, ns = curve_from_result(res, metric, x_key)
         if xs:
             written.append(write_curve_csv(
                 os.path.join(out_dir, f"{fig}_{curve}_{metric}.csv"),
                 x_key, xs, means, errs, ns))
         if fig == "fig7":
-            cfg = sc.config
             for which in ("psd_before", "psd_analog", "psd_digital", "psd_noise"):
-                psd = res.mean_psd(sc.point_label(sc.sweep[0]), which)
+                psd = res.mean_psd(res.labels[0], which)
                 if psd is not None:
                     written.append(write_psd_csv(
-                        os.path.join(out_dir, f"{fig}_{which}.csv"), psd, cfg))
+                        os.path.join(out_dir, f"{fig}_{which}.csv"), psd,
+                        sc.config))
     failures = sum(len(r.failures) for r in results.values())
     attempted = sum(r.attempted for r in results.values())
     return written, failures, attempted

@@ -107,7 +107,7 @@ def test_stream_count_overrides():
     dict(delay_profile="gaussian"),
     dict(irr_db=-3.0),
     dict(adc_bits=1),
-    dict(mc_runs=0),
+    dict(frame_symbols=0),
     # 0 and 20 ns share sample line 0: three lines, a 4*4*3 budget
     dict(si_delays_ns=(0.0, 20.0, 100.0, 150.0), n_taps=64),
     dict(subcarrier_spacing_hz=-312500.0),    # negative SI sample delays
@@ -116,7 +116,7 @@ def test_stream_count_overrides():
     dict(si_delays_ns=(0.0, 1e300, 1e300, 1e300)),   # overflows int64
     dict(si_delays_ns=(0.0, 50.0, float("nan"), 150.0)),
     dict(si_losses_db=(40.0, 50.0, 60.0, float("inf"))),
-    dict(seed=-1),                     # SeedSequence rejects it in every run
+    dict(train_symbols=0),
 ])
 def test_validation_rejects(kw):
     with pytest.raises(ConfigError):

@@ -23,7 +23,7 @@ from fdlink.simulator import (MonteCarloResult, ScenarioSpec, compute_psd,
                               monte_carlo, reproduce, run_frame,
                               write_runs_csv, write_scenario_outputs)
 
-SMALL = dict(frame_symbols=12, train_symbols=4, mc_runs=3)
+SMALL = dict(frame_symbols=12, train_symbols=4)
 
 
 def _small_cfg(**kw):
@@ -171,22 +171,39 @@ def test_scenario_labels_and_validation():
 
 
 def test_scenario_dict_round_trip():
-    spec = ScenarioSpec(name="t", config=_small_cfg(),
-                        sweep=[{"p_b_dbm": 25.0}], runs=2, seed=7,
-                        stages="digital")
-    clone = ScenarioSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
-    assert clone.name == spec.name and clone.sweep == spec.sweep
-    assert clone.runs == 2 and clone.seed == 7 and clone.stages == "digital"
-    assert clone.config == spec.config
+    d = {"name": "t", "config": SMALL, "sweep": [{"p_b_dbm": 25.0}],
+         "runs": 2, "seed": 7, "stages": "digital"}
+    spec = ScenarioSpec.from_dict(json.loads(json.dumps(d)))
+    assert spec == ScenarioSpec(name="t", config=_small_cfg(),
+                                sweep=[{"p_b_dbm": 25.0}], runs=2, seed=7,
+                                stages="digital")
     with pytest.raises(ConfigError):
         ScenarioSpec.from_dict({"name": "t", "mystery": 1})
 
 
 def test_scenario_run_and_seed_defaults():
-    spec = ScenarioSpec(name="t", config=_small_cfg(seed=11))
-    assert spec.n_runs == 3 and spec.rng_seed == 11
-    spec2 = ScenarioSpec(name="t", config=_small_cfg(), runs=1, seed=2)
-    assert spec2.n_runs == 1 and spec2.rng_seed == 2
+    spec = ScenarioSpec.from_dict({"config": SMALL})
+    assert spec.runs == 100 and spec.seed == 1 and spec.name == "scenario"
+    assert spec.sweep == [{}] and spec.stages == "full"
+    for key in ("runs", "seed"):
+        with pytest.raises(ConfigError, match=key):
+            ScenarioSpec(name="t", **{key: None})
+
+
+@pytest.mark.parametrize("streams", [1, 2, 4])
+def test_full_scenario_needs_two_payload_symbols_per_stream(streams):
+    # the rate fit solves `streams` unknowns per bin from the payload and
+    # estimates a streams x streams covariance from what is left over
+    cfg = SystemConfig(d_b=streams, d_m2=streams, train_symbols=2)
+    ok = [{"frame_symbols": 2 * streams}]
+    short = [{"frame_symbols": 2 * streams - 1}]
+    spec = ScenarioSpec(name="t", config=cfg, sweep=ok)
+    rec = run_frame(spec.point_config(ok[0]), Rng(3).child(0, 0))
+    assert np.isfinite(rec.ul_rate) and np.isfinite(rec.dl_rate)
+    with pytest.raises(ConfigError, match="frame_symbols"):
+        ScenarioSpec(name="t", config=cfg, sweep=short)
+    for stages in ("analog", "digital"):
+        ScenarioSpec(name="t", config=cfg, sweep=short, stages=stages)
 
 
 # --- Monte Carlo -------------------------------------------------------------
@@ -340,7 +357,7 @@ def test_aggregate_and_curve_extraction():
         mean, err, n = agg[label]["analog_supp_db"]
         assert n == 2 and np.isfinite(mean) and err >= 0
         assert "fd_rate" not in agg[label]       # all-nan metrics drop out
-    xs, means, errs, ns = curve_from_result(result, spec, "analog_supp_db",
+    xs, means, errs, ns = curve_from_result(result, "analog_supp_db",
                                             "p_b_dbm")
     assert xs == [20.0, 40.0] and ns == [2, 2]
 
@@ -368,8 +385,10 @@ def test_figure_scenarios_cover_all_figures():
         items = figure_scenarios(fig, runs=1)
         assert items
         for sc, metric, x_key, curve in items:
-            assert sc.n_runs == 1
+            assert sc.runs == 1
             assert metric in simulator.METRIC_FIELDS
+    # without runs, the presets keep ScenarioSpec's default run count
+    assert {sc.runs for sc, *_ in figure_scenarios("fig8")} == {100}
     with pytest.raises(ConfigError):
         figure_scenarios("fig99")
 
@@ -463,10 +482,28 @@ def test_cli_rejects_wrongly_typed_config_values(tmp_path, capsys, key,
 
 
 @pytest.mark.parametrize("key,value", [
-    ("runs", "3"), ("seed", "5"), ("runs", 0), ("runs", -2)])
+    ("runs", "3"), ("seed", "5"), ("runs", 0), ("runs", -2),
+    pytest.param("seed", -1, id="seed-negative"),
+    pytest.param("sweep", [], id="sweep-empty"),
+    pytest.param("sweep", "abc", id="sweep-string"),
+    pytest.param("sweep", [1, 2], id="sweep-numbers"),
+    pytest.param("config", 5, id="config-number"),
+    # a full run fits 4 streams per bin; 4 payload symbols read ~416
+    # bits/s/Hz, 5 to 7 mostly fail on a singular covariance
+    pytest.param("config", {"frame_symbols": 4, "train_symbols": 2},
+                 id="config-payload-4"),
+    pytest.param("config", {"frame_symbols": 7, "train_symbols": 2},
+                 id="config-payload-7"),
+    pytest.param("sweep", [{"p_b_dbm": 30.0},
+                           {"label": "p_b_dbm=30.0", "p_b_dbm": 40.0}],
+                 id="sweep-duplicate-label"),
+    pytest.param("sweep", [{}, {}], id="sweep-duplicate-base"),
+    pytest.param("sweep", [{"seed": 9}], id="sweep-sets-seed"),
+    pytest.param("sweep", [{"mc_runs": 5}], id="sweep-sets-mc_runs")])
 def test_cli_rejects_bad_scenario_values(tmp_path, capsys, key, value):
     p = tmp_path / "scn.json"
-    p.write_text(json.dumps({"name": "demo", "config": SMALL, key: value}))
+    p.write_text(json.dumps({"name": "demo", "config": SMALL, "runs": 1,
+                             key: value}))
     assert main(["sweep", "--spec", str(p), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and key in err
@@ -474,13 +511,20 @@ def test_cli_rejects_bad_scenario_values(tmp_path, capsys, key, value):
 
 
 def test_cli_rejects_negative_config_seed(tmp_path, capsys):
-    path = _write_cfg(tmp_path, {"seed": -1, "frame_symbols": 4,
-                                 "train_symbols": 2})
-    assert main(["run", "--config", path, "--runs", "2",
+    path = _write_cfg(tmp_path, SMALL)
+    assert main(["run", "--config", path, "--runs", "2", "--seed", "-1",
                  "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "seed" in err
     assert not (tmp_path / "o").exists()
+    # the seed and run count are scenario fields, not config fields
+    for key in ("seed", "mc_runs"):
+        path = _write_cfg(tmp_path, {**SMALL, key: 3})
+        assert main(["run", "--config", path, "--runs", "2",
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "unknown config fields" in err and key in err
+        assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
