@@ -6,11 +6,11 @@ canceller), picking the largest stream count whose estimated per-antenna
 residual SI stays under the RF saturation threshold, then eigenbeamforms the
 downlink inside that subspace. Uplink: the uplink user eigenbeamforms its
 estimated channel and the FD node combines with the generalized-eigenvector
-(interference-whitening) receiver built from the measured interference-plus-
-noise covariance.
+(interference-whitening) receiver built from the interference-plus-noise
+covariance its caller measured.
 
-Per-subcarrier solves are vectorized over the data bins; the stream count is
-one integer per coherence block.
+Per-subcarrier arrays hold the data bins only, (nd, ...), in
+`cfg.data_idx` order; the stream count is one integer per coherence block.
 """
 
 from dataclasses import dataclass
@@ -19,7 +19,8 @@ import numpy as np
 
 from . import numerics
 from .impairments import check_saturation, tx_chain
-from .waveform import draw_symbols, ofdm_modulate, ofdm_demodulate
+from .waveform import (draw_symbols, full_bins, ofdm_modulate,
+                       ofdm_demodulate)
 
 # OFDM symbols in the probe frame that measures the TX distortion
 PROBE_SYMBOLS = 4
@@ -27,8 +28,8 @@ PROBE_SYMBOLS = 4
 
 @dataclass
 class DlSolution:
-    v: np.ndarray              # (nc, n_tx, alpha) precoders, zero on null bins
-    u: np.ndarray              # (nc, n_rx_m1, alpha) combiners, zero on null bins
+    v: np.ndarray              # (nd, n_tx, alpha) precoders on the data bins
+    u: np.ndarray              # (nd, n_rx_m1, alpha) combiners on the data bins
     g1: float                  # per-antenna gain, sqrt(P_b / n_tx)
     alpha: int
     feasible: bool
@@ -44,19 +45,12 @@ def _unit_columns(v):
     return v / n
 
 
-def full_bins(nc, data_idx, per_bin):
-    """Scatter per-data-bin values into all nc bins, zero elsewhere."""
-    out = np.zeros((nc,) + per_bin.shape[1:], dtype=complex)
-    out[data_idx] = per_bin
-    return out
-
-
 def solve_dl(h_si_eff_f, h_dl_f, gains_b, p_b_w, lambda_b_w, nc, data_idx,
              cp_len, probe_gen, alpha_cap=None):
     """Downlink precoder/combiner with RF-saturation-aware stream count.
 
-    :param h_si_eff_f: (nc, n_rx_b, n_tx_b) estimated SI-plus-canceller response
-    :param h_dl_f: (nc, n_rx_m1, n_tx_b) estimated downlink response
+    :param h_si_eff_f: (nd, n_rx_b, n_tx_b) estimated SI-plus-canceller response
+    :param h_dl_f: (nd, n_rx_m1, n_tx_b) estimated downlink response
     :param gains_b: composite TX gains of the FD node (for the probe frame)
     :param probe_gen: random generator for the distortion probe symbols
     :param alpha_cap: optional cap on the stream count
@@ -74,15 +68,13 @@ def solve_dl(h_si_eff_f, h_dl_f, gains_b, p_b_w, lambda_b_w, nc, data_idx,
         alpha_max = min(alpha_max, alpha_cap)
     candidates = list(range(alpha_max, 1, -1)) if alpha_max >= 2 else [1]
 
-    hts = h_si_eff_f[data_idx]
-    hdl = h_dl_f[data_idx]
-    _, _, vr = numerics.svd(hts)               # right-singular basis, descending
+    _, _, vr = numerics.svd(h_si_eff_f)        # right-singular basis, descending
     g1 = np.sqrt(p_b_w / n_tx)
 
     last = None
     for alpha in candidates:
         null_basis = vr[:, :, n_tx - alpha:]   # weakest-alpha subspace
-        m = hdl @ null_basis                   # downlink seen through it
+        m = h_dl_f @ null_basis                # downlink seen through it
         um, _, fm = numerics.svd(m)
         v = null_basis @ fm                    # (nd, n_tx, alpha), orthonormal
         u = um[:, :, :alpha]
@@ -90,13 +82,12 @@ def solve_dl(h_si_eff_f, h_dl_f, gains_b, p_b_w, lambda_b_w, nc, data_idx,
         # estimated residual SI at the own RX: precoded signal part plus the
         # actual TX distortion of a probe frame run through the chain
         s = draw_symbols(probe_gen, PROBE_SYMBOLS, nc, data_idx, alpha)
-        v_full = full_bins(nc, data_idx, v)
-        x = ofdm_modulate(s, v_full, cp_len)
+        x = ofdm_modulate(s, full_bins(nc, data_idx, v), cp_len)
         _, z = tx_chain(x, gains_b)
         zf = ofdm_demodulate(z, nc, cp_len)[:, data_idx, :]
-        sig = hts @ (g1 * v)
+        sig = h_si_eff_f @ (g1 * v)
         p_sig = np.sum(np.abs(sig) ** 2, axis=(0, 2))
-        hz = np.einsum("nri,sni->snr", hts, zf)
+        hz = np.einsum("nri,sni->snr", h_si_eff_f, zf)
         p_z = np.sum(np.mean(np.abs(hz) ** 2, axis=0), axis=0)
         res_w = (p_sig + p_z) / nc             # per-antenna time average
         sat = check_saturation(res_w, lambda_b_w)
@@ -104,8 +95,8 @@ def solve_dl(h_si_eff_f, h_dl_f, gains_b, p_b_w, lambda_b_w, nc, data_idx,
         with np.errstate(divide="ignore"):     # zero residual reads -inf dB
             margin = float(10 * np.log10(np.max(res_w) / lambda_b_w))
         last = DlSolution(
-            v=v_full,
-            u=full_bins(nc, data_idx, u),
+            v=v,
+            u=u,
             g1=float(g1),
             alpha=alpha,
             feasible=not np.any(sat),
@@ -118,59 +109,33 @@ def solve_dl(h_si_eff_f, h_dl_f, gains_b, p_b_w, lambda_b_w, nc, data_idx,
     return last
 
 
-def ul_precoder(h_ul_f, d_m2, p_m2_w, nc, data_idx):
+def ul_precoder(h_ul_f, d_m2, p_m2_w):
     """Uplink user: eigenbeamforming on the estimated channel, equal power."""
-    n_tx_m2 = h_ul_f.shape[2]
-    _, _, vr = numerics.svd(h_ul_f[data_idx])
-    v = full_bins(nc, data_idx, vr[:, :, :d_m2])
-    return v, float(np.sqrt(p_m2_w / n_tx_m2))
+    _, _, vr = numerics.svd(h_ul_f)
+    return vr[:, :, :d_m2], float(np.sqrt(p_m2_w / h_ul_f.shape[2]))
 
 
-def ul_combiner(h_ul_f, v_m2, g1_m2, d_m2, sigma_b_w, nc, data_idx,
-                h_si_eff_f=None, v_b=None, g1_b=None,
-                z_b_cov=None, z_m2_cov=None, d_cov=None):
+def ul_combiner(h_ul_f, v_m2, g1_m2, d_m2, ipn):
     """Interference-whitening UL receive combiner.
 
-    Builds the per-bin interference-plus-noise covariance (residual SI signal
-    and distortion, uplink TX distortion, digital-canceller correction, and
-    thermal noise), then takes the dominant generalized eigenvectors of the
-    uplink signal Gram against it: the row eigenvectors of
-    signal_gram @ Sigma^-1, i.e. eig(Sigma^-1 @ signal_gram).
+    Takes the dominant generalized eigenvectors of the uplink signal Gram
+    against the per-bin interference-plus-noise covariance ipn
+    (nd, n_rx, n_rx): the row eigenvectors of signal_gram @ ipn^-1, i.e.
+    eig(ipn^-1 @ signal_gram).
     """
-    n_rx = h_ul_f.shape[1]
-    hul = h_ul_f[data_idx]
-    nd = len(data_idx)
-    sigma = np.zeros((nd, n_rx, n_rx), dtype=complex)
-    if h_si_eff_f is not None and v_b is not None:
-        hts = h_si_eff_f[data_idx]
-        a = g1_b * v_b[data_idx]
-        sigma += hts @ (a @ _h(a)) @ _h(hts)
-        if z_b_cov is not None:
-            sigma += hts @ z_b_cov @ _h(hts)
-    if z_m2_cov is not None:
-        sigma += hul @ z_m2_cov @ _h(hul)
-    if d_cov is not None:
-        sigma += d_cov
-    sigma += sigma_b_w * np.eye(n_rx)
-
-    heff = hul @ (g1_m2 * v_m2[data_idx])
-    s0 = heff @ _h(heff)
+    heff = h_ul_f @ (g1_m2 * v_m2)
+    s0 = heff @ numerics.herm(heff)
     try:
-        m = np.linalg.solve(sigma, s0)
+        m = np.linalg.solve(ipn, s0)
     except np.linalg.LinAlgError as exc:
         raise numerics.NumericalError(f"IpN covariance is singular: {exc}") from None
     _, vec = numerics.eig_general(m)
-    u = _unit_columns(vec[:, :, :d_m2])
-    return full_bins(nc, data_idx, u)
-
-
-def _h(a):
-    return np.swapaxes(a, -2, -1).conj()
+    return _unit_columns(vec[:, :, :d_m2])
 
 
 def rate_bits(s_mat, q_mat):
     """log2 det(I + S S^H Q^-1) per bin; shapes (..., d, d) -> (...)."""
-    gram = s_mat @ _h(s_mat)
+    gram = s_mat @ numerics.herm(s_mat)
     sign_q, logdet_q = np.linalg.slogdet(q_mat)
     sign_t, logdet_t = np.linalg.slogdet(q_mat + gram)
     if np.any(sign_q == 0):

@@ -282,14 +282,13 @@ class SystemConfig:
     def from_dict(cls, d):
         if not isinstance(d, dict):
             raise ConfigError(f"config must be a JSON object, got {d!r}")
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         return cls().override(**d)
 
     def override(self, **kw):
         """A copy with the given fields replaced; JSON lists become tuples."""
+        unknown = set(kw) - {f.name for f in fields(self)}
+        if unknown:
+            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         for k in _TUPLE_FIELDS:
             if isinstance(kw.get(k), list):
                 kw[k] = tuple(kw[k])

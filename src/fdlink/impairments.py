@@ -21,8 +21,7 @@ from .config_units import dbm_to_linear, db_to_linear
 
 @dataclass(frozen=True)
 class TxImpairmentModel:
-    """IQ mixer g -> (mu1, mu2), and PA gains at the PA input plane."""
-    g: float
+    """IQ mixer gains (mu1, mu2), and PA gains at the PA input plane."""
     mu1: complex
     mu2: complex
     nu1: float
@@ -55,7 +54,7 @@ def make_impairment_model(irr_db=30.0, iip3_dbm=15.0, pa_gain_db=38.0):
         nu3 = 0.0
     else:
         nu3 = nu1 / dbm_to_linear(iip3_dbm)
-    return TxImpairmentModel(g=float(g), mu1=complex(mu1), mu2=complex(mu2),
+    return TxImpairmentModel(mu1=complex(mu1), mu2=complex(mu2),
                              nu1=float(nu1), nu3=float(nu3))
 
 
@@ -76,13 +75,11 @@ class GainMatrices:
     drive: float
     model: TxImpairmentModel
 
-    def scalars(self):
-        return np.array([self.g1, self.g2, self.g3, self.g4, self.g5, self.g6])
-
     def augmented(self, n_tx):
         """(n_tx, 6 n_tx) block matrix [g1 I | g2 I | ... | g6 I]."""
         eye = np.eye(n_tx)
-        return np.hstack([gk * eye for gk in self.scalars()])
+        return np.hstack([gk * eye for gk in (self.g1, self.g2, self.g3,
+                                              self.g4, self.g5, self.g6)])
 
 
 def derive_gain_matrices(model, g1_target):

@@ -32,6 +32,11 @@ def _check_finite(name, *arrays):
             raise NumericalError(f"{name} produced non-finite values")
 
 
+def herm(a):
+    """Conjugate transpose of the last two axes; batches over the others."""
+    return np.swapaxes(a, -2, -1).conj()
+
+
 def svd(a):
     """Economy SVD with descending singular values.
 

@@ -22,7 +22,8 @@ from . import numerics
 from .config_units import (Rng, SystemConfig, ConfigError, _is_a,
                            complex_normal, dbm_to_linear, linear_to_db,
                            linear_to_dbm, preset)
-from .waveform import draw_symbols, ofdm_modulate, ofdm_demodulate, frame_power
+from .waveform import (draw_symbols, frame_power, full_bins, ofdm_modulate,
+                       ofdm_demodulate)
 from .impairments import (adc_full_scale, adc_quantize,
                           build_augmented_vector, check_saturation,
                           derive_gain_matrices, make_impairment_model,
@@ -30,8 +31,7 @@ from .impairments import (adc_full_scale, adc_quantize,
 from .channel import (apply_channel, estimate_with_mse, gen_rayleigh,
                       gen_rician_si, to_freq)
 from .analog_canceller import build_canceller, quantize_taps
-from .beamforming import (full_bins, rate_bits, solve_dl, ul_combiner,
-                          ul_precoder)
+from .beamforming import rate_bits, solve_dl, ul_combiner, ul_precoder
 # build_design_matrix, tsvd_estimate: unused, but perfbench/bench.py wraps them
 from .digital_canceller import (build_design_matrix, cancel_signal,
                                 linear_basis_mask, normal_equations,
@@ -84,25 +84,33 @@ def _per_antenna_db(p_num, p_den):
     return float(np.mean(linear_to_db(p_num / p_den)))
 
 
-def _bin_cov(cfg, frames):
-    """Per-data-bin sample covariance over OFDM symbols, (nd, n, n)."""
-    zf = ofdm_demodulate(frames, cfg.nc, cfg.cp_len)[:, cfg.data_idx, :]
-    zf = zf.transpose(1, 2, 0)
-    return (zf @ zf.conj().transpose(0, 2, 1)) / zf.shape[2]
+def _data_bins(cfg, frames):
+    """The data bins of each OFDM symbol of frames, (sym, nd, n)."""
+    return ofdm_demodulate(frames, cfg.nc, cfg.cp_len)[:, cfg.data_idx, :]
 
 
-def _measured_rate(cfg, y_frames, u_f, s):
+def _bin_cov(x):
+    """Per-bin sample covariance over the symbols of x (sym, nd, n),
+    (nd, n, n)."""
+    x = x.transpose(1, 2, 0)
+    return (x @ numerics.herm(x)) / x.shape[2]
+
+
+def _through(h, cov):
+    """The per-bin covariance cov seen through the per-bin channel h."""
+    return h @ cov @ numerics.herm(h)
+
+
+def _measured_rate(cfg, y_frames, u, s):
     """Mean data-bin rate of the symbols s (sym, nc, d) received as y_frames
-    and combined by u_f, with empirical combined-domain IpN.
+    and combined by u (nd, n_rx, d), with empirical combined-domain IpN.
 
     The per-bin effective channel is refit from the payload by least
     squares (the demod reference a receiver would estimate from the
     frame), so raw CSI error does not masquerade as interference.
     """
-    data = cfg.data_idx
-    yf = ofdm_demodulate(y_frames, cfg.nc, cfg.cp_len)[:, data, :]
-    u = u_f[data]                                            # (nd, n_rx, d)
-    s_known = s[:, data, :]
+    yf = _data_bins(cfg, y_frames)
+    s_known = s[:, cfg.data_idx, :]
     comb = np.einsum("nrd,snr->snd", u.conj(), yf)           # U^H y
     cross = np.einsum("snd,sne->nde", comb, s_known.conj())
     gram = np.einsum("snd,sne->nde", s_known, s_known.conj())
@@ -115,9 +123,7 @@ def _measured_rate(cfg, y_frames, u_f, s):
             f"payload too short to fit the demod reference: {exc}"
         ) from None
     err = comb - np.einsum("nde,sne->snd", s_mat, s_known)
-    e = err.transpose(1, 2, 0)
-    q = (e @ e.conj().transpose(0, 2, 1)) / e.shape[2]
-    return float(np.mean(rate_bits(s_mat, q)))
+    return float(np.mean(rate_bits(s_mat, _bin_cov(err))))
 
 
 def _channels(cfg, rng):
@@ -145,19 +151,20 @@ def _analog_canceller(cfg, est_si, rng):
 
 def _uplink(cfg, model, est_ul, h_ul, rng):
     """The uplink frame, muted over the training window, at the node:
-    returns ((channel estimate, precoder, gain, symbols), z_m2, ul_rx)."""
+    returns ((data-bin channel estimate, precoder, gain, symbols), z_m2,
+    ul_rx)."""
     nc, cp, data = cfg.nc, cfg.cp_len, cfg.data_idx
     p_m2_w = dbm_to_linear(cfg.p_m2_dbm)
-    h_ul_est_f = to_freq(est_ul, nc)
+    h_ul_est = to_freq(est_ul, nc)[data]
     gains_m2 = derive_gain_matrices(model, np.sqrt(p_m2_w / cfg.n_tx_m2))
-    v_m2, g1_m2 = ul_precoder(h_ul_est_f, cfg.ul_streams, p_m2_w, nc, data)
+    v_m2, g1_m2 = ul_precoder(h_ul_est, cfg.ul_streams, p_m2_w)
     s_m2 = draw_symbols(rng.child(5).generator, cfg.frame_symbols, nc, data,
                         cfg.ul_streams)
     x_m2 = np.concatenate(
         [np.zeros((cfg.n_tx_m2, cfg.train_symbols * (nc + cp)), dtype=complex),
-         ofdm_modulate(s_m2, v_m2, cp)], axis=1)
+         ofdm_modulate(s_m2, full_bins(nc, data, v_m2), cp)], axis=1)
     xt_m2, z_m2 = tx_chain(x_m2, gains_m2)
-    return (h_ul_est_f, v_m2, g1_m2, s_m2), z_m2, apply_channel(xt_m2, h_ul)
+    return (h_ul_est, v_m2, g1_m2, s_m2), z_m2, apply_channel(xt_m2, h_ul)
 
 
 def _adc(cfg, y):
@@ -166,11 +173,11 @@ def _adc(cfg, y):
         y, cfg.adc_full_scale_dbm, cfg.adc_auto_range))
 
 
-def _ul_rate(cfg, ul, y, **interference):
-    """Uplink rate of payload y through ul_combiner for these covariances."""
-    h_ul_est_f, v_m2, g1_m2, s_m2 = ul
-    u_b = ul_combiner(h_ul_est_f, v_m2, g1_m2, cfg.ul_streams, cfg.sigma_b_w,
-                      cfg.nc, cfg.data_idx, **interference)
+def _ul_rate(cfg, ul, y, ipn):
+    """Uplink rate of payload y through the combiner that whitens against
+    the interference-plus-noise covariance ipn."""
+    h_ul_est, v_m2, g1_m2, s_m2 = ul
+    u_b = ul_combiner(h_ul_est, v_m2, g1_m2, cfg.ul_streams, ipn)
     return _measured_rate(cfg, y, u_b, s_m2)
 
 
@@ -183,20 +190,20 @@ def _dl_rate(cfg, xt, h_dl, u, s, gen):
     return _measured_rate(cfg, y_m1[:, -n_pay:], u, s)
 
 
-def _half_duplex(cfg, h_dl, h_dl_est_f, gains_b, ul, ul_pay, z_m2_cov, rng):
+def _half_duplex(cfg, h_dl, h_dl_est, gains_b, ul, ul_pay, ipn, rng):
     """Half-duplex rate on the same channels, each link on half the time:
     unconstrained downlink eigenbeamforming at full stream count, and the
-    uplink payload ul_pay (noise included) without the node's transmitter."""
+    uplink payload ul_pay (noise included) without the node's transmitter,
+    combined against ipn."""
     nc, cp, data = cfg.nc, cfg.cp_len, cfg.data_idx
     g_hd = rng.child(8).generator
     a_hd = cfg.dl_streams
-    uh, _, vh = numerics.svd(h_dl_est_f[data])
-    v_hd = full_bins(nc, data, vh[:, :, :a_hd])
-    u_hd = full_bins(nc, data, uh[:, :, :a_hd])
+    uh, _, vh = numerics.svd(h_dl_est)
     s_hd = draw_symbols(g_hd, cfg.frame_symbols, nc, data, a_hd)
-    xt_hd, _ = tx_chain(ofdm_modulate(s_hd, v_hd, cp), gains_b)
-    dl_hd = _dl_rate(cfg, xt_hd, h_dl, u_hd, s_hd, g_hd)
-    ul_hd = _ul_rate(cfg, ul, _adc(cfg, ul_pay), z_m2_cov=z_m2_cov)
+    xt_hd, _ = tx_chain(
+        ofdm_modulate(s_hd, full_bins(nc, data, vh[:, :, :a_hd]), cp), gains_b)
+    dl_hd = _dl_rate(cfg, xt_hd, h_dl, uh[:, :, :a_hd], s_hd, g_hd)
+    ul_hd = _ul_rate(cfg, ul, _adc(cfg, ul_pay), ipn)
     return 0.5 * (dl_hd + ul_hd)
 
 
@@ -230,20 +237,20 @@ def run_frame(cfg, rng, stages="full", run_id=0, sweep_point=""):
 
     (h_si, h_dl, h_ul), (est_si, est_dl, est_ul) = _channels(cfg, rng)
     c_mats = _analog_canceller(cfg, est_si, rng)
-    h_si_eff_f = to_freq(est_si, nc) + to_freq(c_mats, nc)
-    h_dl_est_f = to_freq(est_dl, nc)
+    h_si_eff = (to_freq(est_si, nc) + to_freq(c_mats, nc))[data]
+    h_dl_est = to_freq(est_dl, nc)[data]
 
     # --- downlink beamformer and frame: training (UL muted), then payload ---
     model = make_impairment_model(cfg.irr_db, cfg.iip3_dbm,
                                   pa_gain_db=cfg.pa_gain_db)
     gains_b = derive_gain_matrices(model, np.sqrt(p_b_w / cfg.n_tx_b))
-    dl = solve_dl(h_si_eff_f, h_dl_est_f, gains_b, p_b_w, cfg.lambda_b_w,
+    dl = solve_dl(h_si_eff, h_dl_est, gains_b, p_b_w, cfg.lambda_b_w,
                   nc, data, cp, rng.child(3).generator,
                   alpha_cap=cfg.dl_streams)
     s_b = draw_symbols(rng.child(4).generator,
                        cfg.train_symbols + cfg.frame_symbols, nc, data,
                        dl.alpha)
-    x_b = ofdm_modulate(s_b, dl.v, cp)
+    x_b = ofdm_modulate(s_b, full_bins(nc, data, dl.v), cp)
     xt_b, z_b = tx_chain(x_b, gains_b)
     if stages != "analog":             # the analog stage reads no uplink
         ul, z_m2, ul_rx = _uplink(cfg, model, est_ul, h_ul, rng)
@@ -272,13 +279,21 @@ def run_frame(cfg, rng, stages="full", run_id=0, sweep_point=""):
     # --- rate work that reads nothing past the ADC, done first so that the
     # frame arrays below are freed at the same point for every `stages` -----
     if stages == "full":
-        cov_z_b = _bin_cov(cfg, z_b[:, pay])
-        cov_z_m2 = _bin_cov(cfg, z_m2[:, pay])
+        # interference-plus-noise of the uplink combiners, summed in this
+        # order: residual SI signal, SI TX distortion, uplink TX distortion,
+        # the digital correction (known after the ADC), then noise. The
+        # half-duplex combiner sees the uplink TX distortion and noise only.
+        a = dl.g1 * dl.v
+        si_cov = (_through(h_si_eff, a @ numerics.herm(a))
+                  + _through(h_si_eff, _bin_cov(_data_bins(cfg, z_b[:, pay]))))
+        h_ul_est = ul[0]
+        ul_dist = _through(h_ul_est, _bin_cov(_data_bins(cfg, z_m2[:, pay])))
+        noise_cov = cfg.sigma_b_w * np.eye(cfg.n_rx_b)
         rec.dl_rate = _dl_rate(cfg, xt_b, h_dl, dl.u, s_b[cfg.train_symbols:],
                                rng.child(7).generator)
-        rec.hd_rate = _half_duplex(cfg, h_dl, h_dl_est_f, gains_b, ul,
-                                   ul_rx[:, pay] + noise_b[:, pay], cov_z_m2,
-                                   rng)
+        rec.hd_rate = _half_duplex(cfg, h_dl, h_dl_est, gains_b, ul,
+                                   ul_rx[:, pay] + noise_b[:, pay],
+                                   ul_dist + noise_cov, rng)
 
     # --- ADC and digital cancellation --------------------------------------
     y_b = si_res + ul_rx + noise_b
@@ -310,10 +325,9 @@ def run_frame(cfg, rng, stages="full", run_id=0, sweep_point=""):
         return rec
 
     # --- uplink combiner and rate ------------------------------------------
+    d_cov = _bin_cov(_data_bins(cfg, d_corr))
     rec.ul_rate = _ul_rate(cfg, ul, y_q[:, pay] + d_corr,
-                           h_si_eff_f=h_si_eff_f, v_b=dl.v, g1_b=dl.g1,
-                           z_b_cov=cov_z_b, z_m2_cov=cov_z_m2,
-                           d_cov=_bin_cov(cfg, d_corr))
+                           si_cov + ul_dist + d_cov + noise_cov)
     rec.fd_rate = rec.dl_rate + rec.ul_rate
     return rec
 
@@ -346,7 +360,10 @@ class ScenarioSpec:
         for i, (point, label) in enumerate(zip(self.sweep, labels)):
             if label in labels[:i]:
                 raise ConfigError(f"sweep label {label!r} is not unique")
-            cfg = self.point_config(point)     # validates overrides eagerly
+            try:                               # validates overrides eagerly
+                cfg = self.point_config(point)
+            except ConfigError as exc:
+                raise ConfigError(f"sweep point {label!r}: {exc}") from None
             # the rate fit solves d unknowns per bin from the payload and
             # estimates a d x d residual covariance from the rest
             d = max(cfg.dl_streams, cfg.ul_streams)
@@ -356,11 +373,8 @@ class ScenarioSpec:
                     f"{2 * d} (2 per stream) for stages 'full'")
 
     def point_config(self, point):
-        kw = {k: v for k, v in point.items() if k != "label"}
-        try:
-            return self.config.override(**kw)
-        except TypeError as exc:
-            raise ConfigError(f"bad sweep override {point}: {exc}") from None
+        return self.config.override(
+            **{k: v for k, v in point.items() if k != "label"})
 
     def point_label(self, point):
         if "label" in point:

@@ -27,6 +27,13 @@ def draw_symbols(gen, n_symbols, nc, data_idx, d):
     return s
 
 
+def full_bins(nc, data_idx, per_bin):
+    """Scatter per-data-bin values (nd, ...) into all nc bins, zero elsewhere."""
+    out = np.zeros((nc,) + per_bin.shape[1:], dtype=complex)
+    out[data_idx] = per_bin
+    return out
+
+
 def ofdm_modulate(s, v, cp_len):
     """Precode, inverse-DFT and prepend cyclic prefixes.
 

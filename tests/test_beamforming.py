@@ -8,6 +8,7 @@ from fdlink.beamforming import (rate_bits, solve_dl, ul_combiner,
                                 ul_precoder)
 from fdlink.config_units import Rng, SystemConfig, complex_normal, dbm_to_linear
 from fdlink.impairments import make_impairment_model, derive_gain_matrices
+from fdlink.waveform import full_bins
 
 CFG = SystemConfig()
 NC = CFG.nc
@@ -21,8 +22,13 @@ def _gains(n_tx=4, p_dbm=30.0):
     return derive_gain_matrices(model, g1)
 
 
-def _rand_f(gen, nc, n_rx, n_tx):
-    return complex_normal(gen, (nc, n_rx, n_tx))
+def _rand_f(gen, n_rx, n_tx):
+    """A random per-bin response drawn on all NC bins, cut to the data bins."""
+    return complex_normal(gen, (NC, n_rx, n_tx))[DATA]
+
+
+def _noise(sigma2, n_rx):
+    return np.broadcast_to(sigma2 * np.eye(n_rx), (len(DATA), n_rx, n_rx))
 
 
 def _subspace_gap(a, b):
@@ -40,52 +46,54 @@ def test_dl_no_si_gives_eigenbeamforming_rate():
     # the null basis is then complete, so the combined link collapses to the
     # top singular values of the DL channel exactly
     gen = Rng(0).generator
-    h_dl = _rand_f(gen, NC, 4, 4)
-    h_si = 1e-6 * _rand_f(gen, NC, 4, 4)
+    h_dl = _rand_f(gen, 4, 4)
+    h_si = 1e-6 * _rand_f(gen, 4, 4)
     gains = _gains()
     sol = solve_dl(h_si, h_dl, gains, dbm_to_linear(30.0), 1e6, NC, DATA, CP,
                    Rng(1).generator)
     assert sol.feasible and sol.alpha == 4
     sigma2 = 1e-9
-    s_eff = np.swapaxes(sol.u[DATA].conj(), 1, 2) @ h_dl[DATA] \
-        @ (sol.g1 * sol.v[DATA])
+    s_eff = np.swapaxes(sol.u.conj(), 1, 2) @ h_dl @ (sol.g1 * sol.v)
     q = np.broadcast_to(sigma2 * np.eye(4), s_eff.shape[:1] + (4, 4))
     got = rate_bits(s_eff, q)
-    sv = np.linalg.svd(h_dl[DATA], compute_uv=False)
+    sv = np.linalg.svd(h_dl, compute_uv=False)
     want = np.sum(np.log2(1.0 + sol.g1 ** 2 * sv ** 2 / sigma2), axis=1)
     assert np.allclose(got, want, rtol=1e-9)
 
 
 def test_dl_precoder_columns_orthonormal_and_null_bins_zero():
     gen = Rng(2).generator
-    sol = solve_dl(1e-4 * _rand_f(gen, NC, 4, 4), _rand_f(gen, NC, 2, 4),
+    sol = solve_dl(1e-4 * _rand_f(gen, 4, 4), _rand_f(gen, 2, 4),
                    _gains(), dbm_to_linear(30.0), dbm_to_linear(-40.0),
                    NC, DATA, CP, Rng(3).generator)
-    v = sol.v[DATA]
+    v = sol.v
     eye = np.broadcast_to(np.eye(sol.alpha), (len(DATA), sol.alpha, sol.alpha))
     assert np.allclose(np.swapaxes(v.conj(), 1, 2) @ v, eye, atol=1e-12)
+    # the solution holds the data bins only; the precoder reaches the null
+    # bins through full_bins, as zeros
+    assert sol.u.shape == (len(DATA), 2, sol.alpha)
     null = np.setdiff1d(np.arange(NC), DATA)
-    assert np.all(sol.v[null] == 0) and np.all(sol.u[null] == 0)
+    assert np.all(full_bins(NC, DATA, v)[null] == 0)
 
 
 def test_dl_single_stream_rides_weakest_singular_vector():
     gen = Rng(4).generator
-    h_si = _rand_f(gen, NC, 4, 4)
-    h_dl = _rand_f(gen, NC, 1, 4)          # single-antenna user forces alpha=1
+    h_si = _rand_f(gen, 4, 4)
+    h_dl = _rand_f(gen, 1, 4)              # single-antenna user forces alpha=1
     sol = solve_dl(h_si, h_dl, _gains(), dbm_to_linear(30.0), 1e9,
                    NC, DATA, CP, Rng(5).generator)
     assert sol.alpha == 1
-    _, _, vr = numerics.svd(h_si[DATA])
+    _, _, vr = numerics.svd(h_si)
     vmin = vr[:, :, -1]
-    align = np.abs(np.sum(sol.v[DATA, :, 0].conj() * vmin, axis=1))
+    align = np.abs(np.sum(sol.v[:, :, 0].conj() * vmin, axis=1))
     assert np.all(align > 1.0 - 1e-9)
 
 
 def test_dl_stream_count_drops_under_tight_threshold():
     # shrinking lambda forces the solver down from the max stream count
     gen = Rng(6).generator
-    h_si = 1e-3 * _rand_f(gen, NC, 4, 4)
-    h_dl = _rand_f(gen, NC, 4, 4)
+    h_si = 1e-3 * _rand_f(gen, 4, 4)
+    h_dl = _rand_f(gen, 4, 4)
     p = dbm_to_linear(30.0)
     loose = solve_dl(h_si, h_dl, _gains(), p, 1e3, NC, DATA, CP,
                      Rng(7).generator)
@@ -97,8 +105,8 @@ def test_dl_stream_count_drops_under_tight_threshold():
 
 def test_dl_infeasible_flags_and_strict_raises():
     gen = Rng(8).generator
-    h_si = _rand_f(gen, NC, 4, 4)          # 0 dB SI, impossible threshold
-    h_dl = _rand_f(gen, NC, 4, 4)
+    h_si = _rand_f(gen, 4, 4)              # 0 dB SI, impossible threshold
+    h_dl = _rand_f(gen, 4, 4)
     p = dbm_to_linear(30.0)
     lam = dbm_to_linear(-120.0)
     sol = solve_dl(h_si, h_dl, _gains(), p, lam, NC, DATA, CP, Rng(9).generator)
@@ -110,8 +118,8 @@ def test_dl_infeasible_flags_and_strict_raises():
 
 def test_dl_alpha_cap():
     gen = Rng(10).generator
-    sol = solve_dl(1e-6 * _rand_f(gen, NC, 4, 4),
-                   _rand_f(gen, NC, 4, 4), _gains(), dbm_to_linear(30.0),
+    sol = solve_dl(1e-6 * _rand_f(gen, 4, 4),
+                   _rand_f(gen, 4, 4), _gains(), dbm_to_linear(30.0),
                    1e6, NC, DATA, CP, Rng(11).generator, alpha_cap=2)
     assert sol.alpha == 2
 
@@ -120,11 +128,11 @@ def test_dl_alpha_cap():
 
 def test_ul_precoder_is_eigenbeamformer():
     gen = Rng(12).generator
-    h = _rand_f(gen, NC, 4, 4)
-    v, g1 = ul_precoder(h, 2, dbm_to_linear(23.0), NC, DATA)
+    h = _rand_f(gen, 4, 4)
+    v, g1 = ul_precoder(h, 2, dbm_to_linear(23.0))
     assert g1 == pytest.approx(np.sqrt(dbm_to_linear(23.0) / 4))
-    _, _, vr = numerics.svd(h[DATA])
-    align = np.abs(np.sum(v[DATA].conj() * vr[:, :, :2], axis=1))
+    _, _, vr = numerics.svd(h)
+    align = np.abs(np.sum(v.conj() * vr[:, :, :2], axis=1))
     assert np.all(align > 1.0 - 1e-9)
 
 
@@ -132,38 +140,36 @@ def test_ul_combiner_noise_only_matches_matched_filter():
     # sigma = sigma2 I: generalized eigenvectors reduce to the top left-
     # singular subspace of the effective uplink channel
     gen = Rng(13).generator
-    h = _rand_f(gen, NC, 4, 4)
-    v, g1 = ul_precoder(h, 2, dbm_to_linear(23.0), NC, DATA)
-    u = ul_combiner(h, v, g1, 2, 1e-13, NC, DATA)
-    heff = h[DATA] @ (g1 * v[DATA])
+    h = _rand_f(gen, 4, 4)
+    v, g1 = ul_precoder(h, 2, dbm_to_linear(23.0))
+    u = ul_combiner(h, v, g1, 2, _noise(1e-13, 4))
+    heff = h @ (g1 * v)
     for n in range(0, len(DATA), 7):
         uu, _, _ = np.linalg.svd(heff[n])
-        assert _subspace_gap(u[DATA[n]], uu[:, :2]) < 1e-6
+        assert _subspace_gap(u[n], uu[:, :2]) < 1e-6
 
 
 def test_ul_combiner_whitens_strong_interference():
     # a single-direction jammer: the combiner must put its streams into the
     # clean subspace, beating random unit combiners on every bin
     gen = Rng(14).generator
-    h = _rand_f(gen, NC, 4, 2)
-    v, g1 = ul_precoder(h, 1, dbm_to_linear(23.0), NC, DATA)
-    jam = complex_normal(gen, (NC, 4, 1))
+    h = _rand_f(gen, 4, 2)
+    v, g1 = ul_precoder(h, 1, dbm_to_linear(23.0))
+    jam = complex_normal(gen, (NC, 4, 1))[DATA]
     h_si_eff = 30.0 * jam                  # one strong interference column
-    v_b = np.zeros((NC, 1, 1), dtype=complex)
-    v_b[DATA] = 1.0
     sigma2 = 1e-6                          # keeps sigma invertible (INR 90 dB)
-    u = ul_combiner(h, v, g1, 1, sigma2, NC, DATA,
-                    h_si_eff_f=h_si_eff, v_b=v_b, g1_b=1.0)
-    heff = h[DATA] @ (g1 * v[DATA])
+    ipn = h_si_eff @ np.swapaxes(h_si_eff.conj(), 1, 2) + _noise(sigma2, 4)
+    u = ul_combiner(h, v, g1, 1, ipn)
+    heff = h @ (g1 * v)
     r_best = None
     for trial in range(50):
         if trial == 0:
-            cand = u[DATA]
+            cand = u
         else:
             cand = complex_normal(gen, (len(DATA), 4, 1))
             cand /= np.linalg.norm(cand, axis=1, keepdims=True)
         sig = np.swapaxes(cand.conj(), 1, 2) @ heff
-        j_eff = np.swapaxes(cand.conj(), 1, 2) @ (30.0 * jam[DATA])
+        j_eff = np.swapaxes(cand.conj(), 1, 2) @ h_si_eff
         q = j_eff @ np.swapaxes(j_eff.conj(), 1, 2) + sigma2 * np.eye(1)
         r = rate_bits(sig, q)
         if trial == 0:
@@ -175,23 +181,21 @@ def test_ul_combiner_whitens_strong_interference():
 
 def test_ul_combiner_unit_columns():
     gen = Rng(15).generator
-    h = _rand_f(gen, NC, 4, 4)
-    v, g1 = ul_precoder(h, 2, 1.0, NC, DATA)
-    z_cov = 1e-6 * np.broadcast_to(np.eye(4), (len(DATA), 4, 4))
-    u = ul_combiner(h, v, g1, 2, 1e-13, NC, DATA, z_m2_cov=z_cov,
-                    d_cov=1e-9 * np.broadcast_to(np.eye(4), (len(DATA), 4, 4)))
-    norms = np.linalg.norm(u[DATA], axis=1)
+    h = _rand_f(gen, 4, 4)
+    v, g1 = ul_precoder(h, 2, 1.0)
+    ipn = (h @ _noise(1e-6, 4) @ np.swapaxes(h.conj(), 1, 2)
+           + _noise(1e-9, 4) + _noise(1e-13, 4))
+    u = ul_combiner(h, v, g1, 2, ipn)
+    assert u.shape == (len(DATA), 4, 2)
+    norms = np.linalg.norm(u, axis=1)
     assert np.allclose(norms, 1.0, atol=1e-12)
-    null = np.setdiff1d(np.arange(NC), DATA)
-    assert np.all(u[null] == 0)
 
 
 def test_ul_combiner_singular_sigma_raises():
-    h = np.zeros((NC, 2, 2), dtype=complex)
-    h[DATA] = np.eye(2)
-    v, g1 = ul_precoder(h, 1, 1.0, NC, DATA)
+    h = np.broadcast_to(np.eye(2, dtype=complex), (len(DATA), 2, 2))
+    v, g1 = ul_precoder(h, 1, 1.0)
     with pytest.raises(numerics.NumericalError):
-        ul_combiner(h, v, g1, 1, 0.0, NC, DATA)
+        ul_combiner(h, v, g1, 1, _noise(0.0, 2))
 
 
 # --- rates ---------------------------------------------------------------

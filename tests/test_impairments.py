@@ -31,7 +31,7 @@ def _irr(m):
 
 def test_mixer_solution_matches_frozen_values():
     m = make_impairment_model(irr_db=30.0)
-    assert m.g == pytest.approx(G_30DB, abs=1e-12)
+    assert m.mu1 - m.mu2 == pytest.approx(G_30DB, abs=1e-12)
     assert m.mu1 == pytest.approx(MU1_30DB, abs=1e-12)
     assert m.mu2 == pytest.approx(MU2_30DB, abs=1e-12)
     assert m.mu1 + m.mu2 == pytest.approx(1.0)

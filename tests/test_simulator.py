@@ -79,6 +79,40 @@ def test_run_frame_stage_subsets():
                 assert a == b, (short, longer, name)
 
 
+# Every scalar field of run_frame(_small_cfg(), Rng(5).child(0, 0)), added
+# stage by stage. The values were recorded from run_frame itself, so a
+# refactor that moves any number fails here; a change that moves them on
+# purpose says so and records them again.
+_RECORDED = {
+    "analog": dict(p_saturation=0, alpha=2,
+                   residual_si_dbm=-40.623522677319244,
+                   analog_supp_db=37.34904955877774),
+    "digital": dict(tsvd_rank=96.0, digital_supp_db=55.363200347203886,
+                    linear_supp_db=9.27053248120536,
+                    total_supp_db=92.71224990598164,
+                    isr_db=-93.13679946408888),
+    "full": dict(dl_rate=18.35506905685632, ul_rate=38.95732541037573,
+                 fd_rate=57.31239446723205, hd_rate=37.573294813684456),
+}
+
+
+@pytest.mark.parametrize("stages", simulator.STAGES)
+def test_run_frame_matches_recorded_values(stages):
+    rec = run_frame(_small_cfg(), Rng(5).child(0, 0), stages=stages,
+                    run_id=3, sweep_point="p")
+    want = {"run_id": 3, "sweep_point": "p"}
+    for s in simulator.STAGES[:simulator.STAGES.index(stages) + 1]:
+        want.update(_RECORDED[s])
+    for name in simulator.CSV_FIELDS:
+        got = getattr(rec, name)
+        if name not in want:
+            assert np.isnan(got), name
+        elif isinstance(want[name], float):
+            assert got == pytest.approx(want[name], rel=1e-9, abs=0), name
+        else:
+            assert type(got) is type(want[name]) and got == want[name], name
+
+
 def test_run_frame_negligible_si():
     cfg = _small_cfg(si_losses_db=(300.0, 310.0, 310.0, 310.0))
     rec = run_frame(cfg, Rng(6).child(0, 0), stages="analog")
@@ -168,6 +202,16 @@ def test_scenario_labels_and_validation():
         ScenarioSpec(name="t", sweep=[])
     with pytest.raises(ConfigError):
         ScenarioSpec(name="t", sweep=[{"no_such_knob": 1}])
+
+
+def test_sweep_point_with_unknown_key_is_a_config_error():
+    # SystemConfig.override is the one unknown-key check, for a sweep point
+    # as for a config file
+    with pytest.raises(ConfigError, match=r"sweep point 'frobnicate=1': "
+                       r"unknown config fields: \['frobnicate'\]"):
+        ScenarioSpec(sweep=[{"frobnicate": 1}])
+    with pytest.raises(ConfigError, match="unknown config fields"):
+        SystemConfig().override(frobnicate=1)
 
 
 def test_scenario_dict_round_trip():
