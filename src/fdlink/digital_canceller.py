@@ -56,24 +56,24 @@ def normal_equations(u, y, l_si):
     """G = psi psi^H and C = y psi^H for psi = build_design_matrix(x, l_si).
 
     Built from u = build_augmented_vector(x), (n_basis, T), and y, (n_rx, T),
-    without forming psi. Block row 0 of G and all of C take one product per
-    delay line against a shifted copy of u, of inner length T like the dense
-    product: OpenBLAS rounds a shorter inner length differently at other
-    thread counts, so serial and parallel runs would disagree. The other
-    blocks follow from G[l, m] = G[l-1, m-1] - u[:, T-l] u[:, T-m]^H.
+    without forming psi. Block row 0 of G and all of C take one product
+    each per delay line, u and y against the same shifted view of a delayed
+    conj(u), of inner length T like the dense product: OpenBLAS rounds a
+    shorter inner length differently at other thread counts, so serial and
+    parallel runs would disagree. The other blocks follow from
+    G[l, m] = G[l-1, m-1] - u[:, T-l] u[:, T-m]^H.
     """
     y = np.atleast_2d(np.asarray(y))
     nb, t = u.shape
     if y.shape[1] != t:
         raise ValueError("basis stream and observations disagree in length")
-    rows = np.concatenate([u, y])
     pad_c = np.zeros((nb, l_si - 1 + t), dtype=complex)    # conj(u), delayed
     np.conjugate(u, out=pad_c[:, l_si - 1:])
     g = np.empty((l_si, nb, l_si, nb), dtype=complex)
     c = np.empty((y.shape[0], l_si, nb), dtype=complex)
     for m in range(l_si):                  # u delayed by m, zeros before it
-        prod = rows @ pad_c[:, l_si - 1 - m:][:, :t].T
-        g[0, :, m], c[:, m] = prod[:nb], prod[nb:]
+        sh = pad_c[:, l_si - 1 - m:][:, :t].T
+        g[0, :, m], c[:, m] = u @ sh, y @ sh
     rev = pad_c[:, :-l_si:-1].conj()   # rev[:, l - 1] = u[:, T - l], 0 if l > T
     for l in range(1, l_si):
         g[l:, :, l - 1] = g[l - 1, :, l:].transpose(1, 2, 0).conj()

@@ -8,6 +8,15 @@ the digital canceller, and the rates against a half-duplex baseline. Each
 stage draws from its own child stream, and `stages` stops the chain after
 the analog or the digital metrics. Runs are deterministic in (seed, sweep
 point, run index) and embarrassingly parallel.
+
+Lifetime rule: a frame-long array is reduced, right where it is made, to
+what later stages read of it (a covariance, a power, a PSD, a rate, or a
+sum taken in place into another frame array) and is freed there. The
+uplink is muted over the training window, so it is built as payload only,
+and a `digital` frame quantizes only the training window the canceller
+fits. Moving a stage's work earlier moves none of its draws, since each
+stage has its own stream, and every sum keeps its operand order, so the
+order of the work changes no number.
 """
 
 import csv
@@ -149,10 +158,13 @@ def _analog_canceller(cfg, est_si, rng):
     return canc.matrices()
 
 
-def _uplink(cfg, model, est_ul, h_ul, rng):
-    """The uplink frame, muted over the training window, at the node:
-    returns ((data-bin channel estimate, precoder, gain, symbols), z_m2,
-    ul_rx)."""
+def _uplink(cfg, model, est_ul, h_ul, rng, rates):
+    """The uplink payload received at the node; the uplink is muted over the
+    training window, so only the payload is modulated, distorted and sent.
+    Returns (ul_rx, ul, ul_dist). With rates, ul and ul_dist hold what the
+    uplink rates read: (data-bin channel estimate, precoder, gain, symbols)
+    and the covariance of the uplink TX distortion seen through the
+    estimate; else both are None."""
     nc, cp, data = cfg.nc, cfg.cp_len, cfg.data_idx
     p_m2_w = dbm_to_linear(cfg.p_m2_dbm)
     h_ul_est = to_freq(est_ul, nc)[data]
@@ -160,16 +172,20 @@ def _uplink(cfg, model, est_ul, h_ul, rng):
     v_m2, g1_m2 = ul_precoder(h_ul_est, cfg.ul_streams, p_m2_w)
     s_m2 = draw_symbols(rng.child(5).generator, cfg.frame_symbols, nc, data,
                         cfg.ul_streams)
-    x_m2 = np.concatenate(
-        [np.zeros((cfg.n_tx_m2, cfg.train_symbols * (nc + cp)), dtype=complex),
-         ofdm_modulate(s_m2, full_bins(nc, data, v_m2), cp)], axis=1)
-    xt_m2, z_m2 = tx_chain(x_m2, gains_m2)
-    return (h_ul_est, v_m2, g1_m2, s_m2), z_m2, apply_channel(xt_m2, h_ul)
+    xt_m2, z_m2 = tx_chain(ofdm_modulate(s_m2, full_bins(nc, data, v_m2), cp),
+                           gains_m2)
+    ul = ul_dist = None
+    if rates:
+        ul = (h_ul_est, v_m2, g1_m2, s_m2)
+        ul_dist = _through(h_ul_est, _bin_cov(_data_bins(cfg, z_m2)))
+    del z_m2, s_m2
+    return apply_channel(xt_m2, h_ul), ul, ul_dist
 
 
-def _adc(cfg, y):
-    """Quantize y on the configured ADC."""
-    return adc_quantize(y, cfg.adc_bits, adc_full_scale(
+def _adc(cfg, y, cols=slice(None)):
+    """Quantize the columns cols of y on the configured ADC; the auto-range
+    rail is set from all of y."""
+    return adc_quantize(y[:, cols], cfg.adc_bits, adc_full_scale(
         y, cfg.adc_full_scale_dbm, cfg.adc_auto_range))
 
 
@@ -184,8 +200,8 @@ def _ul_rate(cfg, ul, y, ipn):
 def _dl_rate(cfg, xt, h_dl, u, s, gen):
     """Downlink rate of the frame xt whose last symbols carry s (sym, nc, d),
     received with noise from gen and combined by u."""
-    y_m1 = apply_channel(xt, h_dl) + complex_normal(
-        gen, (cfg.n_rx_m1, xt.shape[1]), cfg.sigma_m1_w)
+    y_m1 = apply_channel(xt, h_dl)
+    y_m1 += complex_normal(gen, (cfg.n_rx_m1, xt.shape[1]), cfg.sigma_m1_w)
     n_pay = len(s) * (cfg.nc + cfg.cp_len)
     return _measured_rate(cfg, y_m1[:, -n_pay:], u, s)
 
@@ -234,11 +250,17 @@ def run_frame(cfg, rng, stages="full", run_id=0, sweep_point=""):
     p_b_w = dbm_to_linear(cfg.p_b_dbm)
     n_train = cfg.train_symbols * (nc + cp)
     pay = slice(n_train, None)
+    rates = stages == "full"
 
     (h_si, h_dl, h_ul), (est_si, est_dl, est_ul) = _channels(cfg, rng)
     c_mats = _analog_canceller(cfg, est_si, rng)
     h_si_eff = (to_freq(est_si, nc) + to_freq(c_mats, nc))[data]
     h_dl_est = to_freq(est_dl, nc)[data]
+
+    # The lifetime rule of the module docstring: each frame-long array below
+    # is reduced where it is made and freed there (`del`), so a frame holds
+    # few of them at once. The peak falls between the SI convolutions and
+    # the shadow PSDs, where the transmit frame and the SI frames coexist.
 
     # --- downlink beamformer and frame: training (UL muted), then payload ---
     model = make_impairment_model(cfg.irr_db, cfg.iip3_dbm,
@@ -252,55 +274,69 @@ def run_frame(cfg, rng, stages="full", run_id=0, sweep_point=""):
                        dl.alpha)
     x_b = ofdm_modulate(s_b, full_bins(nc, data, dl.v), cp)
     xt_b, z_b = tx_chain(x_b, gains_b)
+    if rates:
+        # interference-plus-noise of the uplink combiners, summed at the end
+        # in this order: residual SI signal, SI TX distortion, uplink TX
+        # distortion, the digital correction (known after the ADC), then
+        # noise. The half-duplex combiner sees the uplink TX distortion and
+        # noise only.
+        a = dl.g1 * dl.v
+        si_cov = (_through(h_si_eff, a @ numerics.herm(a))
+                  + _through(h_si_eff, _bin_cov(_data_bins(cfg, z_b[:, pay]))))
+        noise_cov = cfg.sigma_b_w * np.eye(cfg.n_rx_b)
+    del z_b
     if stages != "analog":             # the analog stage reads no uplink
-        ul, z_m2, ul_rx = _uplink(cfg, model, est_ul, h_ul, rng)
+        ul_rx, ul, ul_dist = _uplink(cfg, model, est_ul, h_ul, rng, rates)
 
     si_rx = apply_channel(xt_b, h_si)
-    si_res = si_rx + apply_channel(xt_b, c_mats)
+    si_res = apply_channel(xt_b, c_mats)
+    np.add(si_rx, si_res, out=si_res)
+    dl_rate = (_dl_rate(cfg, xt_b, h_dl, dl.u, s_b[cfg.train_symbols:],
+                        rng.child(7).generator) if rates else np.nan)
+    del xt_b, s_b
     noise_b = complex_normal(rng.child(6).generator, si_rx.shape,
                              cfg.sigma_b_w)
 
     # --- analog-stage metrics (payload window, noise-inclusive) -----------
+    if stages != "analog":             # isr_db's reference, before the noise
+        p_si = frame_power(si_rx[:, pay])
+    before = np.add(si_rx[:, pay], noise_b[:, pay], out=si_rx[:, pay])
+    p_before = frame_power(before)
     p_res = frame_power(si_res[:, pay])
-    saturated = bool(np.any(check_saturation(p_res, cfg.lambda_b_w)))
-    before = si_rx[:, pay] + noise_b[:, pay]
     mid = si_res[:, pay] + noise_b[:, pay]
-    analog_db = _per_antenna_db(frame_power(before), frame_power(mid))
+    p_mid = frame_power(mid)
+    saturated = bool(np.any(check_saturation(p_res, cfg.lambda_b_w)))
 
     rec = MetricsRecord(
         run_id=run_id, sweep_point=sweep_point,
         p_saturation=int(saturated), alpha=dl.alpha,
         residual_si_dbm=float(np.max(linear_to_dbm(p_res))),
-        analog_supp_db=analog_db,
+        analog_supp_db=_per_antenna_db(p_before, p_mid), dl_rate=dl_rate,
     )
     if stages == "analog":
         return rec
+    rec.psd_before = compute_psd(before, nc, cp)
+    del si_rx, before
+    rec.psd_analog = compute_psd(mid, nc, cp)
+    rec.psd_noise = compute_psd(noise_b[:, pay], nc, cp)
 
-    # --- rate work that reads nothing past the ADC, done first so that the
-    # frame arrays below are freed at the same point for every `stages` -----
-    if stages == "full":
-        # interference-plus-noise of the uplink combiners, summed in this
-        # order: residual SI signal, SI TX distortion, uplink TX distortion,
-        # the digital correction (known after the ADC), then noise. The
-        # half-duplex combiner sees the uplink TX distortion and noise only.
-        a = dl.g1 * dl.v
-        si_cov = (_through(h_si_eff, a @ numerics.herm(a))
-                  + _through(h_si_eff, _bin_cov(_data_bins(cfg, z_b[:, pay]))))
-        h_ul_est = ul[0]
-        ul_dist = _through(h_ul_est, _bin_cov(_data_bins(cfg, z_m2[:, pay])))
-        noise_cov = cfg.sigma_b_w * np.eye(cfg.n_rx_b)
-        rec.dl_rate = _dl_rate(cfg, xt_b, h_dl, dl.u, s_b[cfg.train_symbols:],
-                               rng.child(7).generator)
-        rec.hd_rate = _half_duplex(cfg, h_dl, h_dl_est, gains_b, ul,
-                                   ul_rx[:, pay] + noise_b[:, pay],
-                                   ul_dist + noise_cov, rng)
+    if rates:                          # the half-duplex uplink input
+        ul_pay = ul_rx + noise_b[:, pay]
+    # the live receive frame, summed in place: (si_res + ul_rx) + noise_b
+    y_b = si_res
+    y_b[:, pay] += ul_rx
+    y_b += noise_b
+    del si_res, ul_rx, noise_b
 
     # --- ADC and digital cancellation --------------------------------------
-    y_b = si_res + ul_rx + noise_b
-    del si_res, xt_b, z_b, z_m2, ul_rx
-    y_q = _adc(cfg, y_b)
+    # only the uplink rate reads the payload past the ADC
+    y_q = _adc(cfg, y_b, slice(None) if rates else slice(n_train))
     del y_b
     d_corr, d_lin, rec.tsvd_rank = _digital_cancel(cfg, x_b, y_q[:, :n_train])
+    del x_b
+    if rates:
+        d_cov = _bin_cov(_data_bins(cfg, d_corr))
+        y_ul = np.add(y_q[:, pay], d_corr, out=y_q[:, pay])
 
     # Shadow SI-only measurement: the same frame with the uplink muted,
     # used to isolate cancellation depth.  Kept unquantized on purpose:
@@ -308,26 +344,23 @@ def run_frame(cfg, rng, stages="full", run_id=0, sweep_point=""):
     # ADC, but re-quantizing the shadow against a rail chosen for the
     # composite signal adds clip artifacts that belong to the live path,
     # not to the canceller under measurement.
-    after = mid + d_corr
-    rec.digital_supp_db = _per_antenna_db(frame_power(mid), frame_power(after))
-    rec.total_supp_db = _per_antenna_db(frame_power(before), frame_power(after))
-    rec.isr_db = float(linear_to_db(np.sum(frame_power(after))
-                                    / np.sum(frame_power(si_rx[:, pay]))))
-    # linear-taps-only baseline canceller on the same training data
-    after_lin = mid + d_lin
-    rec.linear_supp_db = _per_antenna_db(frame_power(mid),
-                                         frame_power(after_lin))
-    rec.psd_before = compute_psd(before, nc, cp)
-    rec.psd_analog = compute_psd(mid, nc, cp)
+    after = np.add(mid, d_corr, out=d_corr)
+    p_after = frame_power(after)
+    rec.digital_supp_db = _per_antenna_db(p_mid, p_after)
+    rec.total_supp_db = _per_antenna_db(p_before, p_after)
+    rec.isr_db = float(linear_to_db(np.sum(p_after) / np.sum(p_si)))
     rec.psd_digital = compute_psd(after, nc, cp)
-    rec.psd_noise = compute_psd(noise_b[:, pay], nc, cp)
+    # linear-taps-only baseline canceller on the same training data
+    after_lin = np.add(mid, d_lin, out=d_lin)
+    rec.linear_supp_db = _per_antenna_db(p_mid, frame_power(after_lin))
     if stages == "digital":
         return rec
+    del mid, after, after_lin, d_corr, d_lin
 
-    # --- uplink combiner and rate ------------------------------------------
-    d_cov = _bin_cov(_data_bins(cfg, d_corr))
-    rec.ul_rate = _ul_rate(cfg, ul, y_q[:, pay] + d_corr,
-                           si_cov + ul_dist + d_cov + noise_cov)
+    # --- uplink combiner and rate, and the half-duplex baseline -----------
+    rec.hd_rate = _half_duplex(cfg, h_dl, h_dl_est, gains_b, ul, ul_pay,
+                               ul_dist + noise_cov, rng)
+    rec.ul_rate = _ul_rate(cfg, ul, y_ul, si_cov + ul_dist + d_cov + noise_cov)
     rec.fd_rate = rec.dl_rate + rec.ul_rate
     return rec
 
@@ -357,9 +390,22 @@ class ScenarioSpec:
                 and all(isinstance(p, dict) for p in self.sweep)):
             raise ConfigError("sweep must be a non-empty list of objects")
         labels = self.labels
+        names = [_psd_file_name(label) for label in labels]
         for i, (point, label) in enumerate(zip(self.sweep, labels)):
             if label in labels[:i]:
                 raise ConfigError(f"sweep label {label!r} is not unique")
+            # each label names a file in the output directory, so the check
+            # runs before any frame does
+            if any(c in names[i] for c in "/\\\0"):
+                raise ConfigError(f"sweep label {label!r} holds a path "
+                                  "separator or a NUL")
+            if len(names[i].encode()) > 255:   # NAME_MAX of common filesystems
+                raise ConfigError(f"sweep label {label[:20]!r}... is too long "
+                                  "for a file name")
+            if names[i] in names[:i]:
+                raise ConfigError(
+                    f"sweep labels {labels[names.index(names[i])]!r} and "
+                    f"{label!r} both write {names[i]}")
             try:                               # validates overrides eagerly
                 cfg = self.point_config(point)
             except ConfigError as exc:
@@ -543,6 +589,12 @@ def curve_from_result(result, metric, x_key):
     return tuple(list(col) for col in zip(*rows)) or ([], [], [], [])
 
 
+def _psd_file_name(label):
+    """The file a sweep point's mean PSD is written to, from its label."""
+    safe = label.replace("=", "-").replace(",", "_").replace(" ", "")
+    return f"psd_{safe}.csv"
+
+
 def write_scenario_outputs(result, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     paths = [write_runs_csv(result, os.path.join(out_dir, "runs.csv")),
@@ -551,9 +603,8 @@ def write_scenario_outputs(result, out_dir):
     for label in result.labels:
         psd = result.mean_psd(label)
         if psd is not None:
-            safe = label.replace("=", "-").replace(",", "_").replace(" ", "")
             paths.append(write_psd_csv(
-                os.path.join(out_dir, f"psd_{safe}.csv"), psd, cfg))
+                os.path.join(out_dir, _psd_file_name(label)), psd, cfg))
     return paths
 
 

@@ -94,15 +94,33 @@ _RECORDED = {
     "full": dict(dl_rate=18.35506905685632, ul_rate=38.95732541037573,
                  fd_rate=57.31239446723205, hd_rate=37.573294813684456),
 }
+# The same for one long frame, run_frame(preset("lte20"), Rng(1).child(0, 0),
+# stages="digital"), whose frame spans many apply_channel blocks and whose
+# ADC rail reads the uplink payload; its four PSD arrays are in data/.
+_RECORDED_LTE20 = {
+    "analog": dict(p_saturation=0, alpha=2,
+                   residual_si_dbm=-42.59914036627562,
+                   analog_supp_db=39.551709583871144),
+    "digital": dict(tsvd_rank=144.0, digital_supp_db=55.53493306140577,
+                    linear_supp_db=19.93041204505606,
+                    total_supp_db=95.08664264527691,
+                    isr_db=-95.36144574556467),
+}
+_LTE20_PSD = Path(__file__).parent / "data" / "lte20_digital_seed1_psd.npz"
 
 
-@pytest.mark.parametrize("stages", simulator.STAGES)
-def test_run_frame_matches_recorded_values(stages):
-    rec = run_frame(_small_cfg(), Rng(5).child(0, 0), stages=stages,
+@pytest.mark.parametrize("case", [*simulator.STAGES, "lte20-digital"])
+def test_run_frame_matches_recorded_values(case):
+    if case == "lte20-digital":
+        cfg, seed, stages, recorded = (preset("lte20"), 1, "digital",
+                                       _RECORDED_LTE20)
+    else:
+        cfg, seed, stages, recorded = _small_cfg(), 5, case, _RECORDED
+    rec = run_frame(cfg, Rng(seed).child(0, 0), stages=stages,
                     run_id=3, sweep_point="p")
     want = {"run_id": 3, "sweep_point": "p"}
     for s in simulator.STAGES[:simulator.STAGES.index(stages) + 1]:
-        want.update(_RECORDED[s])
+        want.update(recorded[s])
     for name in simulator.CSV_FIELDS:
         got = getattr(rec, name)
         if name not in want:
@@ -111,6 +129,11 @@ def test_run_frame_matches_recorded_values(stages):
             assert got == pytest.approx(want[name], rel=1e-9, abs=0), name
         else:
             assert type(got) is type(want[name]) and got == want[name], name
+    if case == "lte20-digital":
+        with np.load(_LTE20_PSD) as psd:
+            for name in psd.files:
+                np.testing.assert_allclose(getattr(rec, name), psd[name],
+                                           rtol=1e-9, atol=0, err_msg=name)
 
 
 def test_run_frame_negligible_si():
@@ -214,6 +237,22 @@ def test_sweep_point_with_unknown_key_is_a_config_error():
         SystemConfig().override(frobnicate=1)
 
 
+def test_sweep_labels_need_distinct_plain_psd_file_names(tmp_path):
+    with pytest.raises(ConfigError, match=r"sweep labels 'p=30' and 'p-30' "
+                       r"both write psd_p-30\.csv"):
+        ScenarioSpec(sweep=[{"label": "p=30"}, {"label": "p-30"}])
+    for label in ("a/b", "a\\b", "a\0b"):
+        with pytest.raises(ConfigError, match="path separator"):
+            ScenarioSpec(sweep=[{"label": label}])
+    # a label's PSD file is the one write_scenario_outputs writes
+    spec = ScenarioSpec(name="t", config=_small_cfg(), runs=1,
+                        stages="digital",
+                        sweep=[{"label": "p = 30, x"}, {"label": "p=40"}])
+    write_scenario_outputs(monte_carlo(spec), tmp_path)
+    assert sorted(p.name for p in tmp_path.glob("psd_*")) == [
+        "psd_p-30_x.csv", "psd_p-40.csv"]
+
+
 def test_scenario_dict_round_trip():
     d = {"name": "t", "config": SMALL, "sweep": [{"p_b_dbm": 25.0}],
          "runs": 2, "seed": 7, "stages": "digital"}
@@ -289,23 +328,30 @@ def test_long_frame_campaign_parallel_matches_serial(tmp_path):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("stages, bound", [
-    # 226 MB when the monomial basis was built for the whole frame and every
-    # frame array lived to the end, 113 MB with the basis built per
-    # apply_channel block and each array freed after its last use; the bound
-    # sits between the two, about 40 frame-long (4 x 144672) arrays
-    pytest.param("digital", 160e6, id="digital"),
-    # 216 MB while the transmit, distortion and uplink frames lived to the
-    # end of the frame for the rate metrics, 162 MB with that rate work
-    # ahead of the ADC, so they are freed where a `digital` frame frees
-    # them; the bound sits about two frame-long arrays below the first
-    pytest.param("full", 195e6, id="full"),
+@pytest.mark.parametrize("name, stages, bound", [
+    # lte20 `digital`: 226 MB when the monomial basis was built for the
+    # whole frame, 110 MB with it built per apply_channel block and each
+    # array freed after its last use, 62 MB with each frame array reduced
+    # where it is made (the ADC quantizing the training window only, the
+    # uplink sent as payload only); the bound sits between the last two
+    pytest.param("lte20", "digital", 80e6, id="digital"),
+    # lte20 `full`: 216 MB while the transmit, distortion and uplink frames
+    # lived to the end of the frame, 158 MB with the rate work ahead of the
+    # ADC, 80 MB with the distortion covariances taken after each TX chain,
+    # the downlink rate after the SI convolutions and the half-duplex
+    # baseline last; the bound sits about two and a half frame-long
+    # (4 x 144672) arrays below 158 MB
+    pytest.param("lte20", "full", 135e6, id="full"),
+    # nr100 `digital`, the largest preset (its payload carries 1620 data
+    # bins): 111 MB before the arrays were reduced where they are made,
+    # 62 MB after; the same bound as lte20
+    pytest.param("nr100", "digital", 80e6, id="nr100-digital"),
 ])
-def test_long_frame_memory_is_bounded(stages, bound):
-    # traced peak of numpy arrays in one lte20 frame (seed 1)
+def test_long_frame_memory_is_bounded(name, stages, bound):
+    # traced peak of numpy arrays in one frame (seed 1)
     tracemalloc.start()
     try:
-        run_frame(preset("lte20"), Rng(1).child(0, 0), stages=stages)
+        run_frame(preset(name), Rng(1).child(0, 0), stages=stages)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -542,6 +588,13 @@ def test_cli_rejects_wrongly_typed_config_values(tmp_path, capsys, key,
                            {"label": "p_b_dbm=30.0", "p_b_dbm": 40.0}],
                  id="sweep-duplicate-label"),
     pytest.param("sweep", [{}, {}], id="sweep-duplicate-base"),
+    # the two labels name one PSD file, so one overwrote the other; the
+    # next label leaves the output directory and the last names a file
+    # longer than 255 bytes, so both failed after the whole campaign ran
+    pytest.param("sweep", [{"label": "p=30"}, {"label": "p-30"}],
+                 id="sweep-same-psd-file"),
+    pytest.param("sweep", [{"label": "a/b"}], id="sweep-label-path"),
+    pytest.param("sweep", [{"label": "x" * 300}], id="sweep-label-too-long"),
     pytest.param("sweep", [{"seed": 9}], id="sweep-sets-seed"),
     pytest.param("sweep", [{"mc_runs": 5}], id="sweep-sets-mc_runs")])
 def test_cli_rejects_bad_scenario_values(tmp_path, capsys, key, value):
