@@ -30,7 +30,6 @@ PROBE_SYMBOLS = 4
 class DlSolution:
     v: np.ndarray              # (nd, n_tx, alpha) precoders on the data bins
     u: np.ndarray              # (nd, n_rx_m1, alpha) combiners on the data bins
-    g1: float                  # per-antenna gain, sqrt(P_b / n_tx)
     alpha: int
     feasible: bool
     violating_antenna: int | None
@@ -45,15 +44,16 @@ def _unit_columns(v):
     return v / n
 
 
-def solve_dl(h_si_eff_f, h_dl_f, gains_b, p_b_w, lambda_b_w, nc, data_idx,
-             cp_len, probe_gen, alpha_cap=None):
+def solve_dl(h_si_eff_f, h_dl_f, gains_b, g1, lambda_b_w, nc, data_idx,
+             cp_len, probe_gen, alpha_cap):
     """Downlink precoder/combiner with RF-saturation-aware stream count.
 
     :param h_si_eff_f: (nd, n_rx_b, n_tx_b) estimated SI-plus-canceller response
     :param h_dl_f: (nd, n_rx_m1, n_tx_b) estimated downlink response
     :param gains_b: composite TX gains of the FD node (for the probe frame)
+    :param g1: the node's per-antenna amplitude, sqrt(P_b / n_tx)
     :param probe_gen: random generator for the distortion probe symbols
-    :param alpha_cap: optional cap on the stream count
+    :param alpha_cap: cap on the stream count
 
     Stream counts are tried from the largest down to 2 (a single pass at 1
     for single-antenna users); the first count whose estimated per-antenna
@@ -63,13 +63,10 @@ def solve_dl(h_si_eff_f, h_dl_f, gains_b, p_b_w, lambda_b_w, nc, data_idx,
     """
     n_rx_b, n_tx = h_si_eff_f.shape[1:]
     n_rx_m1 = h_dl_f.shape[1]
-    alpha_max = min(n_rx_m1, n_tx)
-    if alpha_cap is not None:
-        alpha_max = min(alpha_max, alpha_cap)
+    alpha_max = min(n_rx_m1, n_tx, alpha_cap)
     candidates = list(range(alpha_max, 1, -1)) if alpha_max >= 2 else [1]
 
     _, _, vr = numerics.svd(h_si_eff_f)        # right-singular basis, descending
-    g1 = np.sqrt(p_b_w / n_tx)
 
     last = None
     for alpha in candidates:
@@ -97,7 +94,6 @@ def solve_dl(h_si_eff_f, h_dl_f, gains_b, p_b_w, lambda_b_w, nc, data_idx,
         last = DlSolution(
             v=v,
             u=u,
-            g1=float(g1),
             alpha=alpha,
             feasible=not np.any(sat),
             violating_antenna=int(np.argmax(res_w)) if np.any(sat) else None,
@@ -109,28 +105,28 @@ def solve_dl(h_si_eff_f, h_dl_f, gains_b, p_b_w, lambda_b_w, nc, data_idx,
     return last
 
 
-def ul_precoder(h_ul_f, d_m2, p_m2_w):
-    """Uplink user: eigenbeamforming on the estimated channel, equal power."""
+def ul_precoder(h_ul_f, d_m2):
+    """Uplink user: eigenbeamforming on the estimated channel, d_m2 streams."""
     _, _, vr = numerics.svd(h_ul_f)
-    return vr[:, :, :d_m2], float(np.sqrt(p_m2_w / h_ul_f.shape[2]))
+    return vr[:, :, :d_m2]
 
 
-def ul_combiner(h_ul_f, v_m2, g1_m2, d_m2, ipn):
-    """Interference-whitening UL receive combiner.
+def ul_combiner(heff, ipn):
+    """Interference-whitening UL receive combiner, one column per stream.
 
-    Takes the dominant generalized eigenvectors of the uplink signal Gram
-    against the per-bin interference-plus-noise covariance ipn
+    heff (nd, n_rx, d) is the effective uplink channel, precoder and
+    amplitude included. Takes the dominant generalized eigenvectors of its
+    signal Gram against the per-bin interference-plus-noise covariance ipn
     (nd, n_rx, n_rx): the row eigenvectors of signal_gram @ ipn^-1, i.e.
     eig(ipn^-1 @ signal_gram).
     """
-    heff = h_ul_f @ (g1_m2 * v_m2)
     s0 = heff @ numerics.herm(heff)
     try:
         m = np.linalg.solve(ipn, s0)
     except np.linalg.LinAlgError as exc:
         raise numerics.NumericalError(f"IpN covariance is singular: {exc}") from None
     _, vec = numerics.eig_general(m)
-    return _unit_columns(vec[:, :, :d_m2])
+    return _unit_columns(vec[:, :, :heff.shape[2]])
 
 
 def rate_bits(s_mat, q_mat):

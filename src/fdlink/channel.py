@@ -60,25 +60,16 @@ def direct_coupling_matrix(n_rx, n_tx):
     return np.exp(1j * 2.0 * np.pi * ((jj - ii) ** 2) / 7.0)
 
 
-def gen_rician_si(gen, n_rx, n_tx, delays_ns, losses_db, sample_rate_hz,
-                  k_direct_db=30.0):
+def gen_rician_si(gen, n_rx, n_tx, lines, losses_db, k_direct_db):
     """Self-interference channel: direct coupling tap plus reflected paths.
 
-    Path delays are rounded to the nearest sample; paths that round to the
-    same line add there. Per-entry average power of each path equals
-    10^(-loss/10) exactly.
+    Path p sits on the sample-spaced delay line lines[p] (a config's
+    si_delay_samples); paths on the same line add there. Per-entry average
+    power of each path equals 10^(-loss/10) exactly.
     """
-    delays = np.asarray(delays_ns, dtype=float) * 1e-9
-    losses = np.asarray(losses_db, dtype=float)
-    if delays.shape != losses.shape:
-        raise ValueError("delay and loss lists must have equal length")
-    d_samp = np.round(delays * sample_rate_hz).astype(int)
-    if np.any(d_samp < 0):
-        raise ValueError("SI path delays must be non-negative")
-    n_lines = int(d_samp.max()) + 1
-    taps = np.zeros((n_lines, n_rx, n_tx), dtype=complex)
+    taps = np.zeros((max(lines) + 1, n_rx, n_tx), dtype=complex)
     d0_sq = db_to_linear(-k_direct_db)
-    for p, (line, loss) in enumerate(zip(d_samp, losses)):
+    for p, (line, loss) in enumerate(zip(lines, losses_db)):
         v = db_to_linear(-loss)
         if p == 0:
             det = direct_coupling_matrix(n_rx, n_tx)

@@ -12,7 +12,7 @@ Carlo runs failed (every subcommand applies the same budget).
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .config_units import ConfigError, SystemConfig
 from .simulator import (FIGURES, ScenarioSpec, monte_carlo, reproduce,
@@ -31,7 +31,12 @@ def _load_scenario(path):
         raise ConfigError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
-    if "config" in data or "sweep" in data:
+    # a file that names a scenario field is a scenario, except a bare config
+    # with a stray scenario key such as "seed": the config check names it
+    keys = set(data)
+    if keys & {f.name for f in fields(ScenarioSpec) if f.init} and (
+            keys & {"config", "sweep"}
+            or not keys & {f.name for f in fields(SystemConfig)}):
         return ScenarioSpec.from_dict(data)
     # a bare SystemConfig is promoted to a single-point scenario
     return ScenarioSpec(name="run", config=SystemConfig.from_dict(data))
@@ -41,7 +46,7 @@ def _run_scenario(spec, out_dir, workers):
     result = monte_carlo(spec, workers=workers)
     paths = write_scenario_outputs(result, out_dir)
     agg = result.aggregate()
-    for label in result.labels:
+    for label, _ in spec.points:
         parts = []
         for key in ("p_saturation", "fd_rate", "total_supp_db", "isr_db"):
             if key in agg[label]:

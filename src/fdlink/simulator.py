@@ -138,8 +138,8 @@ def _measured_rate(cfg, y_frames, u, s):
 def _channels(cfg, rng):
     """Draw the SI, downlink and uplink channels and their CSI estimates."""
     g_ch, g_est = rng.child(0).generator, rng.child(1).generator
-    h_si = gen_rician_si(g_ch, cfg.n_rx_b, cfg.n_tx_b, cfg.si_delays_ns,
-                         cfg.si_losses_db, cfg.sample_rate_hz, cfg.k_direct_db)
+    h_si = gen_rician_si(g_ch, cfg.n_rx_b, cfg.n_tx_b, cfg.si_delay_samples,
+                         cfg.si_losses_db, cfg.k_direct_db)
     h_dl = gen_rayleigh(g_ch, cfg.n_rx_m1, cfg.n_tx_b, cfg.l_dl,
                         cfg.pathloss_dl_db, cfg.delay_profile)
     h_ul = gen_rayleigh(g_ch, cfg.n_rx_b, cfg.n_tx_m2, cfg.l_ul,
@@ -158,25 +158,31 @@ def _analog_canceller(cfg, est_si, rng):
     return canc.matrices()
 
 
+def _precoded_frame(cfg, gen, n_symbols, v):
+    """n_symbols OFDM symbols of v.shape[2] streams drawn from gen, precoded
+    by the data-bin precoder v and modulated; returns (symbols, frame)."""
+    nc, data = cfg.nc, cfg.data_idx
+    s = draw_symbols(gen, n_symbols, nc, data, v.shape[2])
+    return s, ofdm_modulate(s, full_bins(nc, data, v), cfg.cp_len)
+
+
 def _uplink(cfg, model, est_ul, h_ul, rng, rates):
     """The uplink payload received at the node; the uplink is muted over the
     training window, so only the payload is modulated, distorted and sent.
     Returns (ul_rx, ul, ul_dist). With rates, ul and ul_dist hold what the
-    uplink rates read: (data-bin channel estimate, precoder, gain, symbols)
-    and the covariance of the uplink TX distortion seen through the
-    estimate; else both are None."""
-    nc, cp, data = cfg.nc, cfg.cp_len, cfg.data_idx
-    p_m2_w = dbm_to_linear(cfg.p_m2_dbm)
-    h_ul_est = to_freq(est_ul, nc)[data]
-    gains_m2 = derive_gain_matrices(model, np.sqrt(p_m2_w / cfg.n_tx_m2))
-    v_m2, g1_m2 = ul_precoder(h_ul_est, cfg.ul_streams, p_m2_w)
-    s_m2 = draw_symbols(rng.child(5).generator, cfg.frame_symbols, nc, data,
-                        cfg.ul_streams)
-    xt_m2, z_m2 = tx_chain(ofdm_modulate(s_m2, full_bins(nc, data, v_m2), cp),
-                           gains_m2)
+    uplink rates read: (effective data-bin channel estimate, symbols) and
+    the covariance of the uplink TX distortion seen through the estimate;
+    else both are None."""
+    h_ul_est = to_freq(est_ul, cfg.nc)[cfg.data_idx]
+    g1_m2 = np.sqrt(dbm_to_linear(cfg.p_m2_dbm) / cfg.n_tx_m2)
+    v_m2 = ul_precoder(h_ul_est, cfg.ul_streams)
+    s_m2, x_m2 = _precoded_frame(cfg, rng.child(5).generator,
+                                 cfg.frame_symbols, v_m2)
+    xt_m2, z_m2 = tx_chain(x_m2, derive_gain_matrices(model, g1_m2))
+    del x_m2
     ul = ul_dist = None
     if rates:
-        ul = (h_ul_est, v_m2, g1_m2, s_m2)
+        ul = (h_ul_est @ (g1_m2 * v_m2), s_m2)
         ul_dist = _through(h_ul_est, _bin_cov(_data_bins(cfg, z_m2)))
     del z_m2, s_m2
     return apply_channel(xt_m2, h_ul), ul, ul_dist
@@ -192,9 +198,8 @@ def _adc(cfg, y, cols=slice(None)):
 def _ul_rate(cfg, ul, y, ipn):
     """Uplink rate of payload y through the combiner that whitens against
     the interference-plus-noise covariance ipn."""
-    h_ul_est, v_m2, g1_m2, s_m2 = ul
-    u_b = ul_combiner(h_ul_est, v_m2, g1_m2, cfg.ul_streams, ipn)
-    return _measured_rate(cfg, y, u_b, s_m2)
+    heff, s_m2 = ul
+    return _measured_rate(cfg, y, ul_combiner(heff, ipn), s_m2)
 
 
 def _dl_rate(cfg, xt, h_dl, u, s, gen):
@@ -211,13 +216,12 @@ def _half_duplex(cfg, h_dl, h_dl_est, gains_b, ul, ul_pay, ipn, rng):
     unconstrained downlink eigenbeamforming at full stream count, and the
     uplink payload ul_pay (noise included) without the node's transmitter,
     combined against ipn."""
-    nc, cp, data = cfg.nc, cfg.cp_len, cfg.data_idx
     g_hd = rng.child(8).generator
     a_hd = cfg.dl_streams
     uh, _, vh = numerics.svd(h_dl_est)
-    s_hd = draw_symbols(g_hd, cfg.frame_symbols, nc, data, a_hd)
-    xt_hd, _ = tx_chain(
-        ofdm_modulate(s_hd, full_bins(nc, data, vh[:, :, :a_hd]), cp), gains_b)
+    s_hd, x_hd = _precoded_frame(cfg, g_hd, cfg.frame_symbols, vh[:, :, :a_hd])
+    xt_hd, _ = tx_chain(x_hd, gains_b)
+    del x_hd
     dl_hd = _dl_rate(cfg, xt_hd, h_dl, uh[:, :, :a_hd], s_hd, g_hd)
     ul_hd = _ul_rate(cfg, ul, _adc(cfg, ul_pay), ipn)
     return 0.5 * (dl_hd + ul_hd)
@@ -247,7 +251,6 @@ def run_frame(cfg, rng, stages="full", run_id=0, sweep_point=""):
     if stages not in STAGES:
         raise ConfigError(f"stages must be one of {STAGES}")
     nc, cp, data = cfg.nc, cfg.cp_len, cfg.data_idx
-    p_b_w = dbm_to_linear(cfg.p_b_dbm)
     n_train = cfg.train_symbols * (nc + cp)
     pay = slice(n_train, None)
     rates = stages == "full"
@@ -265,14 +268,13 @@ def run_frame(cfg, rng, stages="full", run_id=0, sweep_point=""):
     # --- downlink beamformer and frame: training (UL muted), then payload ---
     model = make_impairment_model(cfg.irr_db, cfg.iip3_dbm,
                                   pa_gain_db=cfg.pa_gain_db)
-    gains_b = derive_gain_matrices(model, np.sqrt(p_b_w / cfg.n_tx_b))
-    dl = solve_dl(h_si_eff, h_dl_est, gains_b, p_b_w, cfg.lambda_b_w,
+    g1_b = np.sqrt(dbm_to_linear(cfg.p_b_dbm) / cfg.n_tx_b)
+    gains_b = derive_gain_matrices(model, g1_b)
+    dl = solve_dl(h_si_eff, h_dl_est, gains_b, g1_b, cfg.lambda_b_w,
                   nc, data, cp, rng.child(3).generator,
                   alpha_cap=cfg.dl_streams)
-    s_b = draw_symbols(rng.child(4).generator,
-                       cfg.train_symbols + cfg.frame_symbols, nc, data,
-                       dl.alpha)
-    x_b = ofdm_modulate(s_b, full_bins(nc, data, dl.v), cp)
+    s_b, x_b = _precoded_frame(cfg, rng.child(4).generator,
+                               cfg.train_symbols + cfg.frame_symbols, dl.v)
     xt_b, z_b = tx_chain(x_b, gains_b)
     if rates:
         # interference-plus-noise of the uplink combiners, summed at the end
@@ -280,7 +282,7 @@ def run_frame(cfg, rng, stages="full", run_id=0, sweep_point=""):
         # distortion, the digital correction (known after the ADC), then
         # noise. The half-duplex combiner sees the uplink TX distortion and
         # noise only.
-        a = dl.g1 * dl.v
+        a = g1_b * dl.v
         si_cov = (_through(h_si_eff, a @ numerics.herm(a))
                   + _through(h_si_eff, _bin_cov(_data_bins(cfg, z_b[:, pay]))))
         noise_cov = cfg.sigma_b_w * np.eye(cfg.n_rx_b)
@@ -371,13 +373,15 @@ def run_frame(cfg, rng, stages="full", run_id=0, sweep_point=""):
 @dataclass
 class ScenarioSpec:
     """A named simulation campaign: a base config, the sweep points that
-    override it, and the run count and seed of every point."""
+    override it, and the run count and seed of every point. Each point is
+    resolved once, into `points`: its (label, config) pairs in sweep order."""
     name: str = "scenario"
     config: SystemConfig = field(default_factory=SystemConfig)
     sweep: list = field(default_factory=lambda: [{}])
     runs: int = 100
     seed: int = 1
     stages: str = "full"
+    points: list = field(init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.stages, str) or self.stages not in STAGES:
@@ -389,25 +393,27 @@ class ScenarioSpec:
         if not (isinstance(self.sweep, list) and self.sweep
                 and all(isinstance(p, dict) for p in self.sweep)):
             raise ConfigError("sweep must be a non-empty list of objects")
-        labels = self.labels
-        names = [_psd_file_name(label) for label in labels]
-        for i, (point, label) in enumerate(zip(self.sweep, labels)):
-            if label in labels[:i]:
+        self.points, names = [], []
+        for point in self.sweep:
+            label = self.point_label(point)
+            name = _psd_file_name(label)
+            if any(label == seen for seen, _ in self.points):
                 raise ConfigError(f"sweep label {label!r} is not unique")
             # each label names a file in the output directory, so the check
             # runs before any frame does
-            if any(c in names[i] for c in "/\\\0"):
+            if any(c in name for c in "/\\\0"):
                 raise ConfigError(f"sweep label {label!r} holds a path "
                                   "separator or a NUL")
-            if len(names[i].encode()) > 255:   # NAME_MAX of common filesystems
+            if len(name.encode()) > 255:       # NAME_MAX of common filesystems
                 raise ConfigError(f"sweep label {label[:20]!r}... is too long "
                                   "for a file name")
-            if names[i] in names[:i]:
+            if name in names:
                 raise ConfigError(
-                    f"sweep labels {labels[names.index(names[i])]!r} and "
-                    f"{label!r} both write {names[i]}")
+                    f"sweep labels {self.points[names.index(name)][0]!r} and "
+                    f"{label!r} both write {name}")
             try:                               # validates overrides eagerly
-                cfg = self.point_config(point)
+                cfg = self.config.override(
+                    **{k: v for k, v in point.items() if k != "label"})
             except ConfigError as exc:
                 raise ConfigError(f"sweep point {label!r}: {exc}") from None
             # the rate fit solves d unknowns per bin from the payload and
@@ -417,10 +423,8 @@ class ScenarioSpec:
                 raise ConfigError(
                     f"sweep point {label!r}: frame_symbols must be >= "
                     f"{2 * d} (2 per stream) for stages 'full'")
-
-    def point_config(self, point):
-        return self.config.override(
-            **{k: v for k, v in point.items() if k != "label"})
+            self.points.append((label, cfg))
+            names.append(name)
 
     def point_label(self, point):
         if "label" in point:
@@ -429,13 +433,9 @@ class ScenarioSpec:
             return "base"
         return ",".join(f"{k}={point[k]}" for k in sorted(point))
 
-    @property
-    def labels(self):
-        return [self.point_label(p) for p in self.sweep]
-
     @classmethod
     def from_dict(cls, d):
-        unknown = set(d) - {f.name for f in fields(cls)}
+        unknown = set(d) - {f.name for f in fields(cls) if f.init}
         if unknown:
             raise ConfigError(f"unknown scenario fields: {sorted(unknown)}")
         if "config" in d:
@@ -457,10 +457,6 @@ class MonteCarloResult:
     failures: list                     # RunFailures
 
     @property
-    def labels(self):
-        return self.spec.labels
-
-    @property
     def attempted(self):
         return len(self.records) + len(self.failures)
 
@@ -470,7 +466,7 @@ class MonteCarloResult:
     def aggregate(self):
         """{label: {metric: (mean, stderr, n)}} over finite values."""
         out = {}
-        for label in self.labels:
+        for label, _ in self.spec.points:
             recs = self.by_label(label)
             point = {}
             for name in METRIC_FIELDS:
@@ -507,8 +503,7 @@ def monte_carlo(spec, workers=1):
     if not (_is_a(workers, int) and workers >= 1):
         raise ConfigError("workers must be an integer >= 1")
     tasks = []
-    for point_idx, (point, label) in enumerate(zip(spec.sweep, spec.labels)):
-        cfg = spec.point_config(point)
+    for point_idx, (label, cfg) in enumerate(spec.points):
         tasks += [(cfg, spec.seed, point_idx, run_idx, spec.stages, label)
                   for run_idx in range(spec.runs)]
     if workers > 1:
@@ -561,7 +556,7 @@ def write_aggregate_csv(result, path):
     header = ["sweep_point", "metric", "mean", "stderr", "n"]
     return _write_rows(path, header, (
         [label, name, _fmt(mean), _fmt(err), n]
-        for label in result.labels
+        for label, _ in result.spec.points
         for name, (mean, err, n) in agg[label].items()))
 
 
@@ -584,7 +579,7 @@ def curve_from_result(result, metric, x_key):
     """Extract (xs, means, stderrs, ns) for one metric across the sweep."""
     agg = result.aggregate()
     rows = [(point.get(x_key, np.nan), *agg[label][metric])
-            for point, label in zip(result.spec.sweep, result.labels)
+            for point, (label, _) in zip(result.spec.sweep, result.spec.points)
             if metric in agg[label]]
     return tuple(list(col) for col in zip(*rows)) or ([], [], [], [])
 
@@ -599,8 +594,7 @@ def write_scenario_outputs(result, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     paths = [write_runs_csv(result, os.path.join(out_dir, "runs.csv")),
              write_aggregate_csv(result, os.path.join(out_dir, "aggregates.csv"))]
-    cfg = result.spec.config
-    for label in result.labels:
+    for label, cfg in result.spec.points:    # each on its point's FFT grid
         psd = result.mean_psd(label)
         if psd is not None:
             paths.append(write_psd_csv(
@@ -692,12 +686,12 @@ def reproduce(fig, out_dir, runs=None, workers=1):
                 os.path.join(out_dir, f"{fig}_{curve}_{metric}.csv"),
                 x_key, xs, means, errs, ns))
         if fig == "fig7":
+            label, cfg = sc.points[0]
             for which in ("psd_before", "psd_analog", "psd_digital", "psd_noise"):
-                psd = res.mean_psd(res.labels[0], which)
+                psd = res.mean_psd(label, which)
                 if psd is not None:
                     written.append(write_psd_csv(
-                        os.path.join(out_dir, f"{fig}_{which}.csv"), psd,
-                        sc.config))
+                        os.path.join(out_dir, f"{fig}_{which}.csv"), psd, cfg))
     failures = sum(len(r.failures) for r in results.values())
     attempted = sum(r.attempted for r in results.values())
     return written, failures, attempted

@@ -16,10 +16,11 @@ DATA = CFG.data_idx
 CP = CFG.cp_len
 
 
-def _gains(n_tx=4, p_dbm=30.0):
-    model = make_impairment_model()
-    g1 = np.sqrt(dbm_to_linear(p_dbm) / n_tx)
-    return derive_gain_matrices(model, g1)
+G1 = np.sqrt(dbm_to_linear(30.0) / 4)   # per-antenna amplitude at 30 dBm
+
+
+def _gains():
+    return derive_gain_matrices(make_impairment_model(), G1)
 
 
 def _rand_f(gen, n_rx, n_tx):
@@ -49,23 +50,23 @@ def test_dl_no_si_gives_eigenbeamforming_rate():
     h_dl = _rand_f(gen, 4, 4)
     h_si = 1e-6 * _rand_f(gen, 4, 4)
     gains = _gains()
-    sol = solve_dl(h_si, h_dl, gains, dbm_to_linear(30.0), 1e6, NC, DATA, CP,
-                   Rng(1).generator)
+    sol = solve_dl(h_si, h_dl, gains, G1, 1e6, NC, DATA, CP,
+                   Rng(1).generator, alpha_cap=4)
     assert sol.feasible and sol.alpha == 4
     sigma2 = 1e-9
-    s_eff = np.swapaxes(sol.u.conj(), 1, 2) @ h_dl @ (sol.g1 * sol.v)
+    s_eff = np.swapaxes(sol.u.conj(), 1, 2) @ h_dl @ (G1 * sol.v)
     q = np.broadcast_to(sigma2 * np.eye(4), s_eff.shape[:1] + (4, 4))
     got = rate_bits(s_eff, q)
     sv = np.linalg.svd(h_dl, compute_uv=False)
-    want = np.sum(np.log2(1.0 + sol.g1 ** 2 * sv ** 2 / sigma2), axis=1)
+    want = np.sum(np.log2(1.0 + G1 ** 2 * sv ** 2 / sigma2), axis=1)
     assert np.allclose(got, want, rtol=1e-9)
 
 
 def test_dl_precoder_columns_orthonormal_and_null_bins_zero():
     gen = Rng(2).generator
     sol = solve_dl(1e-4 * _rand_f(gen, 4, 4), _rand_f(gen, 2, 4),
-                   _gains(), dbm_to_linear(30.0), dbm_to_linear(-40.0),
-                   NC, DATA, CP, Rng(3).generator)
+                   _gains(), G1, dbm_to_linear(-40.0),
+                   NC, DATA, CP, Rng(3).generator, alpha_cap=4)
     v = sol.v
     eye = np.broadcast_to(np.eye(sol.alpha), (len(DATA), sol.alpha, sol.alpha))
     assert np.allclose(np.swapaxes(v.conj(), 1, 2) @ v, eye, atol=1e-12)
@@ -80,8 +81,8 @@ def test_dl_single_stream_rides_weakest_singular_vector():
     gen = Rng(4).generator
     h_si = _rand_f(gen, 4, 4)
     h_dl = _rand_f(gen, 1, 4)              # single-antenna user forces alpha=1
-    sol = solve_dl(h_si, h_dl, _gains(), dbm_to_linear(30.0), 1e9,
-                   NC, DATA, CP, Rng(5).generator)
+    sol = solve_dl(h_si, h_dl, _gains(), G1, 1e9,
+                   NC, DATA, CP, Rng(5).generator, alpha_cap=4)
     assert sol.alpha == 1
     _, _, vr = numerics.svd(h_si)
     vmin = vr[:, :, -1]
@@ -94,11 +95,10 @@ def test_dl_stream_count_drops_under_tight_threshold():
     gen = Rng(6).generator
     h_si = 1e-3 * _rand_f(gen, 4, 4)
     h_dl = _rand_f(gen, 4, 4)
-    p = dbm_to_linear(30.0)
-    loose = solve_dl(h_si, h_dl, _gains(), p, 1e3, NC, DATA, CP,
-                     Rng(7).generator)
-    tight = solve_dl(h_si, h_dl, _gains(), p,
-                     dbm_to_linear(-52.0), NC, DATA, CP, Rng(7).generator)
+    loose = solve_dl(h_si, h_dl, _gains(), G1, 1e3, NC, DATA, CP,
+                     Rng(7).generator, alpha_cap=4)
+    tight = solve_dl(h_si, h_dl, _gains(), G1, dbm_to_linear(-52.0),
+                     NC, DATA, CP, Rng(7).generator, alpha_cap=4)
     assert loose.alpha == 4
     assert tight.alpha < loose.alpha
 
@@ -107,9 +107,9 @@ def test_dl_infeasible_flags_and_strict_raises():
     gen = Rng(8).generator
     h_si = _rand_f(gen, 4, 4)              # 0 dB SI, impossible threshold
     h_dl = _rand_f(gen, 4, 4)
-    p = dbm_to_linear(30.0)
     lam = dbm_to_linear(-120.0)
-    sol = solve_dl(h_si, h_dl, _gains(), p, lam, NC, DATA, CP, Rng(9).generator)
+    sol = solve_dl(h_si, h_dl, _gains(), G1, lam, NC, DATA, CP,
+                   Rng(9).generator, alpha_cap=4)
     assert not sol.feasible
     assert sol.alpha == 2                  # flagged smallest candidate
     assert sol.violating_antenna is not None and sol.margin_db > 0
@@ -119,7 +119,7 @@ def test_dl_infeasible_flags_and_strict_raises():
 def test_dl_alpha_cap():
     gen = Rng(10).generator
     sol = solve_dl(1e-6 * _rand_f(gen, 4, 4),
-                   _rand_f(gen, 4, 4), _gains(), dbm_to_linear(30.0),
+                   _rand_f(gen, 4, 4), _gains(), G1,
                    1e6, NC, DATA, CP, Rng(11).generator, alpha_cap=2)
     assert sol.alpha == 2
 
@@ -129,8 +129,8 @@ def test_dl_alpha_cap():
 def test_ul_precoder_is_eigenbeamformer():
     gen = Rng(12).generator
     h = _rand_f(gen, 4, 4)
-    v, g1 = ul_precoder(h, 2, dbm_to_linear(23.0))
-    assert g1 == pytest.approx(np.sqrt(dbm_to_linear(23.0) / 4))
+    v = ul_precoder(h, 2)
+    assert v.shape == (len(DATA), 4, 2)
     _, _, vr = numerics.svd(h)
     align = np.abs(np.sum(v.conj() * vr[:, :, :2], axis=1))
     assert np.all(align > 1.0 - 1e-9)
@@ -141,9 +141,8 @@ def test_ul_combiner_noise_only_matches_matched_filter():
     # singular subspace of the effective uplink channel
     gen = Rng(13).generator
     h = _rand_f(gen, 4, 4)
-    v, g1 = ul_precoder(h, 2, dbm_to_linear(23.0))
-    u = ul_combiner(h, v, g1, 2, _noise(1e-13, 4))
-    heff = h @ (g1 * v)
+    heff = h @ (np.sqrt(dbm_to_linear(23.0) / 4) * ul_precoder(h, 2))
+    u = ul_combiner(heff, _noise(1e-13, 4))
     for n in range(0, len(DATA), 7):
         uu, _, _ = np.linalg.svd(heff[n])
         assert _subspace_gap(u[n], uu[:, :2]) < 1e-6
@@ -154,13 +153,12 @@ def test_ul_combiner_whitens_strong_interference():
     # clean subspace, beating random unit combiners on every bin
     gen = Rng(14).generator
     h = _rand_f(gen, 4, 2)
-    v, g1 = ul_precoder(h, 1, dbm_to_linear(23.0))
+    heff = h @ (np.sqrt(dbm_to_linear(23.0) / 2) * ul_precoder(h, 1))
     jam = complex_normal(gen, (NC, 4, 1))[DATA]
     h_si_eff = 30.0 * jam                  # one strong interference column
     sigma2 = 1e-6                          # keeps sigma invertible (INR 90 dB)
     ipn = h_si_eff @ np.swapaxes(h_si_eff.conj(), 1, 2) + _noise(sigma2, 4)
-    u = ul_combiner(h, v, g1, 1, ipn)
-    heff = h @ (g1 * v)
+    u = ul_combiner(heff, ipn)
     r_best = None
     for trial in range(50):
         if trial == 0:
@@ -182,10 +180,10 @@ def test_ul_combiner_whitens_strong_interference():
 def test_ul_combiner_unit_columns():
     gen = Rng(15).generator
     h = _rand_f(gen, 4, 4)
-    v, g1 = ul_precoder(h, 2, 1.0)
+    heff = h @ (0.5 * ul_precoder(h, 2))
     ipn = (h @ _noise(1e-6, 4) @ np.swapaxes(h.conj(), 1, 2)
            + _noise(1e-9, 4) + _noise(1e-13, 4))
-    u = ul_combiner(h, v, g1, 2, ipn)
+    u = ul_combiner(heff, ipn)
     assert u.shape == (len(DATA), 4, 2)
     norms = np.linalg.norm(u, axis=1)
     assert np.allclose(norms, 1.0, atol=1e-12)
@@ -193,9 +191,9 @@ def test_ul_combiner_unit_columns():
 
 def test_ul_combiner_singular_sigma_raises():
     h = np.broadcast_to(np.eye(2, dtype=complex), (len(DATA), 2, 2))
-    v, g1 = ul_precoder(h, 1, 1.0)
+    heff = h @ (np.sqrt(0.5) * ul_precoder(h, 1))
     with pytest.raises(numerics.NumericalError):
-        ul_combiner(h, v, g1, 1, _noise(0.0, 2))
+        ul_combiner(heff, _noise(0.0, 2))
 
 
 # --- rates ---------------------------------------------------------------

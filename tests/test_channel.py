@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from fdlink.config_units import SystemConfig, db_to_linear, dbm_to_linear
+from fdlink.config_units import (SystemConfig, db_to_linear, dbm_to_linear,
+                                 preset)
 from fdlink.channel import (BLOCK, apply_channel, direct_coupling_matrix,
                             estimate_with_mse, gen_rayleigh, gen_rician_si,
                             to_freq)
@@ -150,8 +151,8 @@ def test_direct_coupling_is_deterministic_unit_modulus():
 
 def test_rician_si_powers_and_placement():
     cfg = SystemConfig()
-    fs = cfg.sample_rate_hz
-    ch = gen_rician_si(_gen(7), 4, 4, cfg.si_delays_ns, cfg.si_losses_db, fs)
+    ch = gen_rician_si(_gen(7), 4, 4, cfg.si_delay_samples, cfg.si_losses_db,
+                       cfg.k_direct_db)
     assert ch.shape == (4, 4, 4)
     # the direct line is dominated by the fixed coupling at the path loss
     p0 = np.mean(np.abs(ch[0]) ** 2)
@@ -164,8 +165,8 @@ def test_rician_si_average_reflected_power():
     n_draws = 200
     gen = _gen(8)
     for _ in range(n_draws):
-        ch = gen_rician_si(gen, 4, 4, (0.0, 50.0, 100.0, 150.0),
-                           (40.0, 50.0, 60.0, 70.0), 20e6)
+        ch = gen_rician_si(gen, 4, 4, (0, 1, 2, 3), (40.0, 50.0, 60.0, 70.0),
+                           30.0)
         acc += [np.mean(np.abs(ch[l]) ** 2) for l in (1, 2, 3)]
     acc /= n_draws
     for got, loss in zip(acc, (50.0, 60.0, 70.0)):
@@ -173,34 +174,27 @@ def test_rician_si_average_reflected_power():
 
 
 def test_rician_si_nearest_sample_placement():
-    # 50 ns at 30.72 MHz rounds to sample 2
-    fs = 2048 * 15e3
-    ch = gen_rician_si(_gen(9), 2, 2, (0.0, 50.0), (40.0, 50.0), fs)
-    assert ch.shape[0] == 2 + 1
-    assert np.all(ch[1] == 0)
+    # 50 ns at 30.72 MHz rounds to line 2 (test_config_units checks the
+    # rounding); the path lands there and line 1 stays empty
+    cfg = preset("lte20", si_delays_ns=(0.0, 50.0), si_losses_db=(40.0, 50.0))
+    ch = gen_rician_si(_gen(9), 2, 2, cfg.si_delay_samples, cfg.si_losses_db,
+                       cfg.k_direct_db)
+    assert ch.shape[0] == cfg.l_si == 2 + 1
+    assert np.all(ch[1] == 0) and np.all(ch[2] != 0)
 
 
 def test_rician_si_shared_line_accumulates():
-    # two paths rounding to the same sample line add incoherently: the
+    # two paths on the same sample line add incoherently: the
     # per-entry power averages to the sum of the two path powers
-    fs = 20e6
     gen = _gen(10)
     acc = 0.0
     n_draws = 300
     for _ in range(n_draws):
-        ch = gen_rician_si(gen, 2, 2, (0.0, 50.0, 52.0),
-                           (40.0, 50.0, 50.0), fs)
+        ch = gen_rician_si(gen, 2, 2, (0, 1, 1), (40.0, 50.0, 50.0), 30.0)
         assert ch.shape[0] == 2
         acc += np.mean(np.abs(ch[1]) ** 2)
     p1 = acc / n_draws
     assert 10 * np.log10(p1) == pytest.approx(10 * np.log10(2e-5), abs=0.5)
-
-
-def test_rician_si_validation():
-    with pytest.raises(ValueError):
-        gen_rician_si(_gen(), 2, 2, (0.0, 50.0), (40.0,), 20e6)
-    with pytest.raises(ValueError):
-        gen_rician_si(_gen(), 2, 2, (-50.0,), (40.0,), 20e6)
 
 
 # --- CSI error ---------------------------------------------------------------

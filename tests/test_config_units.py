@@ -86,6 +86,16 @@ def test_default_numerology():
     assert cfg.lambda_b_w == pytest.approx(1e-7)
 
 
+def test_si_delays_round_to_the_nearest_sample_line():
+    # 50 ns at 30.72 MHz rounds to line 2, so line 1 stays empty
+    cfg = preset("lte20", si_delays_ns=(0.0, 50.0), si_losses_db=(40.0, 50.0))
+    assert np.array_equal(cfg.si_delay_samples, [0, 2]) and cfg.l_si == 3
+    # 50 and 52 ns at 20 MHz share line 1
+    cfg = SystemConfig(si_delays_ns=(0.0, 50.0, 52.0),
+                       si_losses_db=(40.0, 50.0, 50.0))
+    assert np.array_equal(cfg.si_delay_samples, [0, 1, 1]) and cfg.l_si == 2
+
+
 def test_stream_count_overrides():
     cfg = SystemConfig(d_b=2, d_m2=3)
     assert cfg.dl_streams == 2 and cfg.ul_streams == 3
@@ -103,6 +113,7 @@ def test_stream_count_overrides():
     dict(n_taps=0),
     dict(n_taps=65),                   # above the 4*4*4 budget
     dict(si_delays_ns=(0.0, 50.0)),    # length mismatch with losses
+    dict(si_delays_ns=(-50.0, 50.0, 100.0, 150.0)),   # negative delay
     dict(si_delays_ns=(), si_losses_db=()),
     dict(delay_profile="gaussian"),
     dict(irr_db=-3.0),
@@ -148,8 +159,8 @@ def test_n_taps_budget_counts_shared_sample_lines(lines, dup, offsets_ns,
     cfg = SystemConfig(si_delays_ns=delays, si_losses_db=losses,
                        n_taps=budget)
     # both sides accept an interval [1, budget], so the top decides
-    h = gen_rician_si(np.random.default_rng(seed), 4, 4, delays, losses,
-                      cfg.sample_rate_hz, cfg.k_direct_db)
+    h = gen_rician_si(np.random.default_rng(seed), 4, 4,
+                      cfg.si_delay_samples, losses, cfg.k_direct_db)
     assert len(build_canceller(h, cfg.n_taps).w) == budget
     with pytest.raises(ConfigError):
         cfg.override(n_taps=budget + 1)

@@ -281,7 +281,7 @@ def test_full_scenario_needs_two_payload_symbols_per_stream(streams):
     ok = [{"frame_symbols": 2 * streams}]
     short = [{"frame_symbols": 2 * streams - 1}]
     spec = ScenarioSpec(name="t", config=cfg, sweep=ok)
-    rec = run_frame(spec.point_config(ok[0]), Rng(3).child(0, 0))
+    rec = run_frame(spec.points[0][1], Rng(3).child(0, 0))
     assert np.isfinite(rec.ul_rate) and np.isfinite(rec.dl_rate)
     with pytest.raises(ConfigError, match="frame_symbols"):
         ScenarioSpec(name="t", config=cfg, sweep=short)
@@ -443,7 +443,7 @@ def test_aggregate_and_curve_extraction():
                         runs=2, stages="analog")
     result = monte_carlo(spec)
     agg = result.aggregate()
-    for label in result.labels:
+    for label, _ in spec.points:
         mean, err, n = agg[label]["analog_supp_db"]
         assert n == 2 and np.isfinite(mean) and err >= 0
         assert "fd_rate" not in agg[label]       # all-nan metrics drop out
@@ -622,6 +622,39 @@ def test_cli_rejects_negative_config_seed(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "unknown config fields" in err and key in err
         assert not (tmp_path / "o").exists()
+
+
+def test_cli_runs_a_scenario_file_without_config_and_sweep(tmp_path):
+    # both keys have defaults, so the file is a scenario, not a bare config
+    path = _write_cfg(tmp_path, {"name": "s", "runs": 1, "seed": 2,
+                                 "stages": "analog"})
+    assert main(["sweep", "--spec", path, "--out", str(tmp_path / "o")]) == 0
+    runs = (tmp_path / "o" / "runs.csv").read_text().splitlines()
+    assert len(runs) == 2 and runs[1].split(",")[1] == "base"
+
+
+# the wifi20 and lte20 numerologies, and the shortest digital frame
+WIFI20 = dict(subcarrier_spacing_hz=312500.0, nc=64, n_data=52, cp_len=16)
+LTE20 = dict(subcarrier_spacing_hz=15e3, nc=2048, n_data=1200, cp_len=144)
+SHORT = dict(frame_symbols=1, train_symbols=2)
+
+
+@pytest.mark.parametrize("base,points", [
+    ({}, [("half", {"subcarrier_spacing_hz": 156250.0}, 64, 156250.0),
+          ("lte", LTE20, 2048, 15e3)]),
+    (LTE20, [("wifi", WIFI20, 64, 312500.0)])], ids=["wifi20", "lte20"])
+def test_cli_writes_each_psd_on_its_points_fft_grid(tmp_path, base, points):
+    spec = tmp_path / "scn.json"
+    spec.write_text(json.dumps({
+        "config": {**base, **SHORT}, "runs": 1, "stages": "digital",
+        "sweep": [{"label": label, **kw} for label, kw, _, _ in points]}))
+    assert main(["sweep", "--spec", str(spec),
+                 "--out", str(tmp_path / "o")]) == 0
+    for label, _, nc, spacing in points:
+        freqs = np.loadtxt(tmp_path / "o" / f"psd_{label}.csv",
+                           delimiter=",", skiprows=1)[:, 0]
+        assert len(freqs) == nc
+        assert np.allclose(np.diff(freqs), spacing)
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
