@@ -7,8 +7,7 @@ LAPACK failures surface as NumericalError instead of half-filled arrays.
 
 blas_threads caps the OpenBLAS that numpy loaded while a block runs. A pool
 forked inside it starts at one BLAS thread per worker, so the workers never
-build a BLAS thread pool of their own. eigh runs at one BLAS thread, so
-its bytes do not depend on the caller's thread count.
+build a BLAS thread pool of their own.
 """
 
 import contextlib
@@ -59,12 +58,9 @@ def eigh(a):
     Returns (w, v) with a = v @ diag(w) @ v.conj().T, w real and descending
     and v holding orthonormal eigenvectors as columns. Only the lower
     triangle of a is read. Batches over leading axes like np.linalg.eigh.
-    Runs at one BLAS thread: OpenBLAS's multithreaded eigensolver rounds
-    differently, so a serial campaign would disagree with its pool workers.
     """
     try:
-        with blas_threads(1):
-            w, v = np.linalg.eigh(np.asarray(a))
+        w, v = np.linalg.eigh(np.asarray(a))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigh failed to converge: {exc}") from None
     _check_finite("eigh", w, v)

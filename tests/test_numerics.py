@@ -141,24 +141,6 @@ def test_blas_threads_restores_count_when_body_raises():
     assert _openblas_thread_count() == before
 
 
-def test_eigh_bytes_do_not_depend_on_the_callers_blas_threads():
-    # a serial campaign runs at the caller's thread count and its pool
-    # workers at one; a multithreaded Hermitian eigensolver rounds
-    # differently, which moved lte20 digital-canceller fits by ~1e-12
-    if _openblas_thread_count() is None or (os.cpu_count() or 1) < 2:
-        pytest.skip("needs OpenBLAS and at least two CPUs")
-    gen = np.random.default_rng(23)
-    b = gen.standard_normal((144, 4000)) + 1j * gen.standard_normal((144, 4000))
-    a = b @ b.conj().T                    # a canceller Gram matrix's size
-    got = []
-    for n in (2, 1):
-        with numerics.blas_threads(n):
-            w, v = numerics.eigh(a)
-            assert _openblas_thread_count() == n
-        got.append(w.tobytes() + v.tobytes())
-    assert got[0] == got[1]
-
-
 def test_monte_carlo_worker_runs_one_os_thread(monkeypatch):
     # a worker that set its own cap after the fork re-created OpenBLAS's
     # thread pool and carried one extra, spinning OS thread
