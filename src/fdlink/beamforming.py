@@ -44,6 +44,26 @@ def _unit_columns(v):
     return v / n
 
 
+def _bin_cov(x):
+    """Per-bin covariance over the symbols of x (nd, n, sym): (nd, n, n)."""
+    return (x @ numerics.herm(x)) / x.shape[2]
+
+
+def _through(h, cov):
+    """The per-bin covariance cov seen through the per-bin channel h."""
+    return h @ cov @ numerics.herm(h)
+
+
+def residual_si_cov(h_si_eff_f, a, z_bins):
+    """Per-bin covariance (nd, n_rx, n_rx) of the SI past the analog
+    canceller that solve_dl holds under the saturation threshold and the UL
+    combiner whitens against: signal a (nd, n_tx, d) plus TX distortion
+    z_bins (nd, n_tx, sym), through h. The signal part is (h a)(h a)^H, as
+    h (a a^H) h^H can round below 0 when a lies in the null space of h."""
+    sig = h_si_eff_f @ a
+    return sig @ numerics.herm(sig) + _through(h_si_eff_f, _bin_cov(z_bins))
+
+
 def solve_dl(h_si_eff_f, h_dl_f, gains_b, g1, lambda_b_w, nc, data_idx,
              cp_len, probe_gen, alpha_cap):
     """Downlink precoder/combiner with RF-saturation-aware stream count.
@@ -67,8 +87,6 @@ def solve_dl(h_si_eff_f, h_dl_f, gains_b, g1, lambda_b_w, nc, data_idx,
     candidates = list(range(alpha_max, 1, -1)) if alpha_max >= 2 else [1]
 
     _, _, vr = numerics.svd(h_si_eff_f)        # right-singular basis, descending
-
-    last = None
     for alpha in candidates:
         null_basis = vr[:, :, n_tx - alpha:]   # weakest-alpha subspace
         m = h_dl_f @ null_basis                # downlink seen through it
@@ -81,12 +99,9 @@ def solve_dl(h_si_eff_f, h_dl_f, gains_b, g1, lambda_b_w, nc, data_idx,
         s = draw_symbols(probe_gen, PROBE_SYMBOLS, nc, data_idx, alpha)
         x = ofdm_modulate(s, full_bins(nc, data_idx, v), cp_len)
         _, z = tx_chain(x, gains_b)
-        zf = ofdm_demodulate(z, nc, cp_len)[:, data_idx, :]
-        sig = h_si_eff_f @ (g1 * v)
-        p_sig = np.sum(np.abs(sig) ** 2, axis=(0, 2))
-        hz = np.einsum("nri,sni->snr", h_si_eff_f, zf)
-        p_z = np.sum(np.mean(np.abs(hz) ** 2, axis=0), axis=0)
-        res_w = (p_sig + p_z) / nc             # per-antenna time average
+        zf = ofdm_demodulate(z, nc, cp_len)[:, data_idx, :].transpose(1, 2, 0)
+        cov = residual_si_cov(h_si_eff_f, g1 * v, zf)
+        res_w = np.sum(np.diagonal(cov, axis1=1, axis2=2).real, axis=0) / nc
         sat = check_saturation(res_w, lambda_b_w)
 
         with np.errstate(divide="ignore"):     # zero residual reads -inf dB

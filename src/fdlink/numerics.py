@@ -38,14 +38,14 @@ def herm(a):
 
 
 def svd(a):
-    """Economy SVD with descending singular values.
+    """Full SVD with descending singular values, batched over leading axes.
 
-    Returns (u, s, v) with a = u @ diag(s) @ v.conj().T, where u and v hold
-    orthonormal columns (v holds right-singular vectors, not their transpose).
-    Accepts stacked inputs (..., m, n) and batches over leading axes.
+    Returns (u, s, v), a = u[:, :k] @ diag(s) @ v[:, :k].conj().T for a (m, n)
+    and k = min(m, n). u and v are unitary, and v holds the right-singular
+    vectors as columns, so its last n - k span the null space of a.
     """
     try:
-        u, s, vh = np.linalg.svd(np.asarray(a), full_matrices=False)
+        u, s, vh = np.linalg.svd(np.asarray(a), full_matrices=True)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"svd failed to converge: {exc}") from None
     _check_finite("svd", u, s)

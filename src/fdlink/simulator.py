@@ -40,7 +40,8 @@ from .impairments import (adc_full_scale, adc_quantize,
 from .channel import (apply_channel, estimate_with_mse, gen_rayleigh,
                       gen_rician_si, to_freq)
 from .analog_canceller import build_canceller, quantize_taps
-from .beamforming import rate_bits, solve_dl, ul_combiner, ul_precoder
+from .beamforming import (_bin_cov, _through, rate_bits, residual_si_cov,
+                          solve_dl, ul_combiner, ul_precoder)
 # build_design_matrix, tsvd_estimate: unused, but perfbench/bench.py wraps them
 from .digital_canceller import (build_design_matrix, cancel_signal,
                                 linear_basis_mask, normal_equations,
@@ -94,20 +95,9 @@ def _per_antenna_db(p_num, p_den):
 
 
 def _data_bins(cfg, frames):
-    """The data bins of each OFDM symbol of frames, (sym, nd, n)."""
-    return ofdm_demodulate(frames, cfg.nc, cfg.cp_len)[:, cfg.data_idx, :]
-
-
-def _bin_cov(x):
-    """Per-bin sample covariance over the symbols of x (sym, nd, n),
-    (nd, n, n)."""
-    x = x.transpose(1, 2, 0)
-    return (x @ numerics.herm(x)) / x.shape[2]
-
-
-def _through(h, cov):
-    """The per-bin covariance cov seen through the per-bin channel h."""
-    return h @ cov @ numerics.herm(h)
+    """The data bins of each OFDM symbol of frames, (nd, n, sym)."""
+    yf = ofdm_demodulate(frames, cfg.nc, cfg.cp_len)[:, cfg.data_idx, :]
+    return yf.transpose(1, 2, 0)
 
 
 def _measured_rate(cfg, y_frames, u, s):
@@ -118,20 +108,17 @@ def _measured_rate(cfg, y_frames, u, s):
     squares (the demod reference a receiver would estimate from the
     frame), so raw CSI error does not masquerade as interference.
     """
-    yf = _data_bins(cfg, y_frames)
-    s_known = s[:, cfg.data_idx, :]
-    comb = np.einsum("nrd,snr->snd", u.conj(), yf)           # U^H y
-    cross = np.einsum("snd,sne->nde", comb, s_known.conj())
-    gram = np.einsum("snd,sne->nde", s_known, s_known.conj())
+    s_known = s[:, cfg.data_idx, :].transpose(1, 2, 0)     # (nd, d, sym)
+    comb = numerics.herm(u) @ _data_bins(cfg, y_frames)     # U^H y
+    cross = comb @ numerics.herm(s_known)
+    gram = s_known @ numerics.herm(s_known)
     try:
-        s_mat = np.linalg.solve(
-            gram.conj().transpose(0, 2, 1),
-            cross.conj().transpose(0, 2, 1)).conj().transpose(0, 2, 1)
+        s_mat = numerics.herm(np.linalg.solve(numerics.herm(gram),
+                                              numerics.herm(cross)))
     except np.linalg.LinAlgError as exc:
-        raise numerics.NumericalError(
-            f"payload too short to fit the demod reference: {exc}"
-        ) from None
-    err = comb - np.einsum("nde,sne->snd", s_mat, s_known)
+        raise numerics.NumericalError("payload too short to fit the demod "
+                                      f"reference: {exc}") from None
+    err = comb - s_mat @ s_known
     return float(np.mean(rate_bits(s_mat, _bin_cov(err))))
 
 
@@ -278,13 +265,11 @@ def run_frame(cfg, rng, stages="full", run_id=0, sweep_point=""):
     xt_b, z_b = tx_chain(x_b, gains_b)
     if rates:
         # interference-plus-noise of the uplink combiners, summed at the end
-        # in this order: residual SI signal, SI TX distortion, uplink TX
-        # distortion, the digital correction (known after the ADC), then
-        # noise. The half-duplex combiner sees the uplink TX distortion and
-        # noise only.
-        a = g1_b * dl.v
-        si_cov = (_through(h_si_eff, a @ numerics.herm(a))
-                  + _through(h_si_eff, _bin_cov(_data_bins(cfg, z_b[:, pay]))))
+        # in this order: residual SI, uplink TX distortion, the digital
+        # correction (known after the ADC), then noise. The half-duplex
+        # combiner sees the uplink TX distortion and noise only.
+        si_cov = residual_si_cov(h_si_eff, g1_b * dl.v,
+                                 _data_bins(cfg, z_b[:, pay]))
         noise_cov = cfg.sigma_b_w * np.eye(cfg.n_rx_b)
     del z_b
     if stages != "analog":             # the analog stage reads no uplink

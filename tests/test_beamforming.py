@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from fdlink import numerics
-from fdlink.beamforming import (rate_bits, solve_dl, ul_combiner,
-                                ul_precoder)
+from fdlink.beamforming import (rate_bits, residual_si_cov, solve_dl,
+                                ul_combiner, ul_precoder)
 from fdlink.config_units import Rng, SystemConfig, complex_normal, dbm_to_linear
 from fdlink.impairments import make_impairment_model, derive_gain_matrices
 from fdlink.waveform import full_bins
@@ -114,6 +114,32 @@ def test_dl_infeasible_flags_and_strict_raises():
     assert sol.alpha == 2                  # flagged smallest candidate
     assert sol.violating_antenna is not None and sol.margin_db > 0
     assert sol.est_residual_w.shape == (4,)
+
+
+def test_dl_precoder_steers_into_the_null_space_of_a_wide_si_response():
+    # 2 receive and 4 transmit antennas: the SI response has a 2-dimensional
+    # null space, and two streams there reach the own receiver not at all
+    gen = Rng(14).generator
+    h_si = _rand_f(gen, 2, 4)
+    sol = solve_dl(h_si, _rand_f(gen, 2, 4), _gains(), G1, 1e6,
+                   NC, DATA, CP, Rng(15).generator, alpha_cap=2)
+    assert sol.alpha == 2 and sol.v.shape == (len(DATA), 4, 2)
+    assert np.max(np.abs(h_si @ sol.v)) < 1e-12
+    assert np.all(sol.est_residual_w >= 0)
+
+
+def test_residual_si_cov_diagonal_is_the_per_antenna_power():
+    gen = Rng(16).generator
+    h = _rand_f(gen, 3, 4)
+    a = _rand_f(gen, 4, 2)
+    z = complex_normal(gen, (len(DATA), 4, 5))
+    cov = residual_si_cov(h, a, z)
+    assert cov.shape == (len(DATA), 3, 3)
+    assert np.allclose(cov, numerics.herm(cov), atol=1e-12)
+    p_sig = np.sum(np.abs(h @ a) ** 2, axis=2)
+    p_z = np.mean(np.abs(h @ z) ** 2, axis=2)
+    got = np.diagonal(cov, axis1=1, axis2=2)
+    assert np.allclose(got, p_sig + p_z, rtol=1e-12, atol=0)
 
 
 def test_dl_alpha_cap():

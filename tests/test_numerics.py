@@ -17,11 +17,11 @@ def test_svd_reconstructs_and_orders():
     gen = np.random.default_rng(7)
     a = gen.standard_normal((5, 3)) + 1j * gen.standard_normal((5, 3))
     u, s, v = numerics.svd(a)
-    assert u.shape == (5, 3) and s.shape == (3,) and v.shape == (3, 3)
+    assert u.shape == (5, 5) and s.shape == (3,) and v.shape == (3, 3)
     assert np.all(np.diff(s) <= 0)
-    recon = (u * s) @ v.conj().T
+    recon = (u[:, :3] * s) @ v.conj().T
     assert np.allclose(recon, a, atol=1e-12)
-    assert np.allclose(u.conj().T @ u, np.eye(3), atol=1e-12)
+    assert np.allclose(u.conj().T @ u, np.eye(5), atol=1e-12)
     assert np.allclose(v.conj().T @ v, np.eye(3), atol=1e-12)
 
 
@@ -29,9 +29,11 @@ def test_svd_batched():
     gen = np.random.default_rng(3)
     a = gen.standard_normal((4, 6, 2, 3)) + 1j * gen.standard_normal((4, 6, 2, 3))
     u, s, v = numerics.svd(a)
-    assert u.shape == (4, 6, 2, 2) and v.shape == (4, 6, 3, 2)
-    recon = u @ (s[..., None] * np.swapaxes(v, -2, -1).conj())
+    assert u.shape == (4, 6, 2, 2) and v.shape == (4, 6, 3, 3)
+    recon = u @ (s[..., None] * np.swapaxes(v[..., :2], -2, -1).conj())
     assert np.allclose(recon, a, atol=1e-12)
+    # the trailing right-singular vector spans the null space of a
+    assert np.allclose(a @ v[..., 2:], 0.0, atol=1e-12)
 
 
 def test_svd_nonfinite_raises():

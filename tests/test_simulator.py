@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fdlink import cli, digital_canceller, numerics, simulator
 from fdlink.cli import main
@@ -169,6 +170,64 @@ def test_analog_run_frame_builds_no_uplink(monkeypatch):
     monkeypatch.setattr(simulator, "ul_precoder", boom)
     rec = run_frame(_small_cfg(), Rng(5).child(0, 0), stages="analog")
     assert np.isfinite(rec.analog_supp_db)
+
+
+def _assert_stage_fields_finite(rec, stages):
+    for name in _STAGE_FIELDS[stages]:
+        v = getattr(rec, name)
+        if isinstance(v, np.ndarray):
+            assert np.all(np.isfinite(v)), (stages, name)
+        elif not isinstance(v, str):
+            assert np.isfinite(v), (stages, name)
+
+
+@pytest.mark.parametrize("n_rx_b", [1, 2, 3])
+@pytest.mark.parametrize("stages", simulator.STAGES)
+def test_node_with_fewer_receive_than_transmit_antennas_runs(stages, n_rx_b):
+    # an n_rx_b x 4 SI response has a null space; the downlink precoder's
+    # weakest right-singular directions must include it
+    cfg = _small_cfg(n_rx_b=n_rx_b, frame_symbols=8, train_symbols=2,
+                     n_taps=16)
+    rec = run_frame(cfg, Rng(3).child(0, 0), stages=stages)
+    assert rec.alpha >= 1
+    _assert_stage_fields_finite(rec, stages)
+
+
+_SMALL_CONFIGS = st.fixed_dictionaries({
+    "n_tx_b": st.integers(1, 4), "n_rx_b": st.integers(1, 4),
+    "n_rx_m1": st.integers(1, 4), "n_tx_m2": st.integers(1, 4),
+    "nc": st.sampled_from([16, 32, 64]), "cp_len": st.integers(3, 15),
+    "l_dl": st.integers(1, 4), "l_ul": st.integers(1, 4),
+    "frame_symbols": st.integers(1, 8), "train_symbols": st.integers(1, 3),
+    "greedy_taps": st.booleans(), "tap_quantization": st.booleans(),
+    "irr_db": st.sampled_from([None, 30.0]),
+    "iip3_dbm": st.sampled_from([None, 15.0]),
+    "channel_mse_db": st.sampled_from([None, -20.0]),
+})
+
+
+@settings(deadline=None, max_examples=200)
+@given(params=_SMALL_CONFIGS, stages=st.sampled_from(simulator.STAGES),
+       seed=st.integers(0, 2 ** 16), data=st.data())
+def test_a_config_a_campaign_accepts_runs(params, stages, seed, data):
+    # every small config that validates, at a stages value its campaign
+    # accepts, gives a record or a NumericalError; a numpy floating-point
+    # warning fails the test
+    params["n_data"] = 2 * data.draw(st.integers(1, params["nc"] // 2 - 1))
+    cfg = SystemConfig(n_taps=1, **params)
+    lines = len(np.unique(cfg.si_delay_samples))
+    cfg = cfg.override(n_taps=data.draw(
+        st.integers(1, cfg.n_rx_b * cfg.n_tx_b * lines)))
+    try:
+        ScenarioSpec(config=cfg, stages=stages, runs=1, seed=seed)
+    except ConfigError:
+        assume(False)
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            rec = run_frame(cfg, Rng(seed).child(0, 0), stages=stages)
+    except numerics.NumericalError:
+        return
+    assert 1 <= rec.alpha <= cfg.dl_streams
 
 
 def _bench_layers(name):
