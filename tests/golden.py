@@ -3,8 +3,7 @@
 
 Usage, from the root of a source checkout (fdlink is imported from ./src):
 
-    python3 tests/golden.py            # check
-    python3 tests/golden.py --record   # rewrite the recorded hashes
+    python3 tests/golden.py
 
 Every scenario file in tests/data/golden/ runs through `fdlink sweep` at
 `--workers` 1 and at `--workers` 2. The script prints each output file
@@ -15,12 +14,9 @@ equals parallel on every scenario.
 
 The recorded hashes hold for the machine, numpy and BLAS in the file's
 fingerprint (perfbench/bench.py's fields); the script says when this
-environment differs from it. `--record` writes this environment's
-fingerprint and serial hashes in their place, for a change that moves
-bytes on purpose.
+environment differs from it.
 """
 
-import argparse
 import hashlib
 import json
 import os
@@ -61,13 +57,7 @@ def digests(out):
             for p in sorted(out.glob("*")) if p.is_file()}
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--record", action="store_true",
-                    help="write this environment's serial hashes to "
-                         f"{RECORD.relative_to(ROOT)}")
-    args = ap.parse_args(argv)
-
+def main():
     ok = True
     serial = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -89,12 +79,6 @@ def main(argv=None):
             serial.update({f"{spec.stem}/{n}": h for n, h in runs[0].items()})
 
     fp = fingerprint()
-    if args.record:
-        RECORD.write_text(json.dumps(
-            {"fingerprint": fp, "sha256": serial}, indent=1) + "\n")
-        print(f"recorded {len(serial)} hashes in {RECORD.relative_to(ROOT)}")
-        return 0 if ok else 1
-
     recorded = json.loads(RECORD.read_text())
     for key in ENV_KEYS:
         if fp[key] != recorded["fingerprint"][key]:

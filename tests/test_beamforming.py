@@ -142,6 +142,17 @@ def test_residual_si_cov_diagonal_is_the_per_antenna_power():
     assert np.allclose(got, p_sig + p_z, rtol=1e-12, atol=0)
 
 
+def test_residual_si_cov_stays_non_negative_in_the_null_space():
+    # a precoder in the null space of h and no TX distortion leave a
+    # residual at the rounding level; h (a a^H) h^H rounds half of these
+    # 52 diagonals below 0, and a negative residual has no dB margin
+    gen = Rng(17).generator
+    h = _rand_f(gen, 1, 2)
+    _, _, v = numerics.svd(h)
+    cov = residual_si_cov(h, 0.3 * v[:, :, 1:], np.zeros((len(DATA), 2, 4)))
+    assert np.all(np.diagonal(cov, axis1=1, axis2=2).real >= 0)
+
+
 def test_dl_alpha_cap():
     gen = Rng(10).generator
     sol = solve_dl(1e-6 * _rand_f(gen, 4, 4),

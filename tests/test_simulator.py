@@ -54,6 +54,15 @@ _STAGE_FIELDS = {"analog": _ANALOG_FIELDS, "digital": _DIGITAL_FIELDS,
                  "full": [f.name for f in fields(simulator.MetricsRecord)]}
 
 
+def _assert_stage_fields_finite(rec, stages):
+    for name in _STAGE_FIELDS[stages]:
+        v = getattr(rec, name)
+        if isinstance(v, np.ndarray):
+            assert np.all(np.isfinite(v)), (stages, name)
+        elif not isinstance(v, str):
+            assert np.isfinite(v), (stages, name)
+
+
 def test_run_frame_stage_subsets():
     cfg = _small_cfg()
     recs = {s: run_frame(cfg, Rng(5).child(0, 0), stages=s)
@@ -63,10 +72,7 @@ def test_run_frame_stage_subsets():
             v = getattr(rec, f.name)
             if f.name not in _STAGE_FIELDS[stages]:
                 assert v is None or np.isnan(v), (stages, f.name)
-            elif isinstance(v, np.ndarray):
-                assert np.all(np.isfinite(v)), (stages, f.name)
-            elif not isinstance(v, str):
-                assert np.isfinite(v), (stages, f.name)
+        _assert_stage_fields_finite(rec, stages)
     # every field a stage subset sets equals the value of the longer chains,
     # bit for bit: the stages share their streams, and the rate work that
     # runs ahead of the ADC in `full` leaves the digital stage unchanged
@@ -170,15 +176,6 @@ def test_analog_run_frame_builds_no_uplink(monkeypatch):
     monkeypatch.setattr(simulator, "ul_precoder", boom)
     rec = run_frame(_small_cfg(), Rng(5).child(0, 0), stages="analog")
     assert np.isfinite(rec.analog_supp_db)
-
-
-def _assert_stage_fields_finite(rec, stages):
-    for name in _STAGE_FIELDS[stages]:
-        v = getattr(rec, name)
-        if isinstance(v, np.ndarray):
-            assert np.all(np.isfinite(v)), (stages, name)
-        elif not isinstance(v, str):
-            assert np.isfinite(v), (stages, name)
 
 
 @pytest.mark.parametrize("n_rx_b", [1, 2, 3])
