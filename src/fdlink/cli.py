@@ -14,6 +14,7 @@ import json
 import sys
 from dataclasses import fields, replace
 
+from . import numerics
 from .config_units import ConfigError, SystemConfig
 from .simulator import (FIGURES, ScenarioSpec, monte_carlo, reproduce,
                         write_scenario_outputs)
@@ -65,6 +66,7 @@ def _failure_exit(failures, attempted):
 
 
 def main(argv=None):
+    numerics.keep_heap()       # frames reuse the heap instead of re-faulting
     parser = argparse.ArgumentParser(
         prog="fdlink",
         description="Full-duplex MIMO OFDM link simulator")

@@ -7,7 +7,8 @@ LAPACK failures surface as NumericalError instead of half-filled arrays.
 
 blas_threads caps the OpenBLAS that numpy loaded while a block runs. A pool
 forked inside it starts at one BLAS thread per worker, so the workers never
-build a BLAS thread pool of their own.
+build a BLAS thread pool of their own. keep_heap makes glibc's malloc keep
+freed frame arrays in the heap, so the next frame reuses them.
 """
 
 import contextlib
@@ -20,6 +21,14 @@ import numpy as np
 _OPENBLAS_THREADS = ("openblas_%s_num_threads", "openblas_%s_num_threads64_",
                      "scipy_openblas_%s_num_threads64_",
                      "scipy_openblas_%s_num_threads")
+
+# glibc mallopt parameters. 32 MiB is the largest mmap threshold every
+# 64-bit glibc accepts; it is above every frame array (9.3 MB at lte20 and
+# nr100) and the canceller's training-window buffers (about 13.5 MB). The
+# trim threshold lies far above a frame's high-water mark.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 1 << 30
 
 
 class NumericalError(Exception):
@@ -136,3 +145,32 @@ def blas_threads(n):
         yield
     finally:
         set_(before)
+
+
+def keep_heap():
+    """Keep freed memory in this process's heap for the next frame.
+
+    By default glibc hands a freed frame-sized array back to the kernel, by
+    munmap or by trimming the heap top, so the next frame faults the same
+    pages in again. This sets glibc's mmap threshold to 32 MiB and its trim
+    threshold to 1 GiB, so frame arrays come from the heap and stay there.
+    Both are set: either one alone turns off glibc's dynamic threshold and
+    faults more than the defaults.
+
+    Process-wide and one-way: glibc has no getter for these values, and
+    setting its defaults back leaves the dynamic threshold off. Call it only
+    in processes fdlink owns (the CLI and its pool workers); calling it again
+    changes nothing. Returns True when glibc accepted both values, False
+    where there is no mallopt (macOS, musl), which changes nothing.
+    """
+    try:
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    except TypeError:                   # Windows: no CDLL(None)
+        return False
+    if mallopt is None:
+        return False
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    # the mmap threshold first: if glibc refuses it, nothing has changed
+    return (mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1
+            and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD) == 1)

@@ -497,10 +497,11 @@ def monte_carlo(spec, workers=1):
         import numpy.fft
         import numpy.random
         # workers fork at one BLAS thread, so none builds a BLAS thread pool
-        # and the pool does not oversubscribe the CPUs
+        # and the pool does not oversubscribe the CPUs; each keeps its heap
         ctx = multiprocessing.get_context("fork")
         with numerics.blas_threads(1), \
-                ctx.Pool(min(workers, len(tasks))) as pool:
+                ctx.Pool(min(workers, len(tasks)),
+                         initializer=numerics.keep_heap) as pool:
             results = pool.map(_mc_task, tasks, chunksize=1)
     else:
         results = [_mc_task(t) for t in tasks]

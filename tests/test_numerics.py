@@ -1,9 +1,11 @@
 """Conventions of the linear-algebra wrappers: ordering, shapes, failures,
-and the BLAS thread cap that pool workers fork under."""
+the BLAS thread cap that pool workers fork under, and the heap they keep."""
 
 import ctypes
 import multiprocessing
 import os
+import platform
+import types
 
 import numpy as np
 import pytest
@@ -171,3 +173,58 @@ def test_monte_carlo_pool_leaves_parent_blas_alone():
     result = monte_carlo(spec, workers=2)
     assert len(result.records) == 2
     assert _openblas_thread_count() == before
+
+
+# --- heap reuse --------------------------------------------------------------
+# keep_heap is process-wide and one-way; the CLI calls it in this test
+# process too, so setting it here changes nothing the other tests see.
+
+def _libc_with(mallopt):
+    return lambda name: types.SimpleNamespace(mallopt=mallopt)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="mallopt is glibc's")
+def test_keep_heap_sets_both_glibc_thresholds(monkeypatch):
+    real = ctypes.CDLL(None).mallopt
+    real.argtypes, real.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value, real(param, value)))
+        return calls[-1][2]
+    monkeypatch.setattr(ctypes, "CDLL", _libc_with(mallopt))
+    assert numerics.keep_heap() is True
+    assert numerics.keep_heap() is True
+    # M_MMAP_THRESHOLD to 32 MiB, then M_TRIM_THRESHOLD to 1 GiB, glibc
+    # accepting each, on both calls
+    assert calls == [(-3, 32 << 20, 1), (-1, 1 << 30, 1)] * 2
+
+
+def test_keep_heap_leaves_trim_alone_when_mmap_threshold_is_refused(
+        monkeypatch):
+    # either threshold alone turns off glibc's dynamic threshold
+    calls = []
+
+    def mallopt(param, value):
+        calls.append(param)
+        return 0
+    monkeypatch.setattr(ctypes, "CDLL", _libc_with(mallopt))
+    assert numerics.keep_heap() is False
+    assert calls == [-3]
+
+
+def test_keep_heap_without_mallopt_does_nothing(monkeypatch):
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace())
+    assert numerics.keep_heap() is False
+
+
+def test_monte_carlo_workers_keep_their_heap(monkeypatch):
+    # a library caller's pool keeps its heap without going through the CLI
+    kept = []
+    monkeypatch.setattr(numerics, "keep_heap", lambda: kept.append(True))
+    monkeypatch.setattr(simulator, "run_frame", lambda cfg, rng, **kw: kept)
+    spec = ScenarioSpec(name="t", config=SystemConfig(), runs=4,
+                        stages="analog")
+    assert monte_carlo(spec, workers=2).records == [[True]] * 4
+    assert kept == []       # the caller's own process is left alone

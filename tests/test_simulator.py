@@ -5,6 +5,7 @@ import importlib
 import json
 import multiprocessing
 import os
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -491,6 +492,42 @@ def test_pool_workers_start_with_numpy_lazy_modules_loaded():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[True, True]] * 4
+
+
+_WARM_CAMPAIGN_FAULTS = """
+import contextlib
+import io
+import json
+import resource
+import sys
+from fdlink import cli
+
+spec, out = sys.argv[1], sys.argv[2]
+with open(spec, "w") as f:
+    json.dump({"name": "warm", "runs": 10, "seed": 1, "stages": "full"}, f)
+
+def campaign():
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["sweep", "--spec", spec, "--out", out]) == 0
+
+campaign()              # the first campaign grows the heap
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+campaign()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="keep_heap tunes glibc's malloc only")
+def test_cli_frames_reuse_the_heap(tmp_path):
+    # glibc used to unmap every frame array when it was freed, so each wifi20
+    # full frame faulted about 1 200 pages in again
+    proc = subprocess.run(
+        [sys.executable, "-c", _WARM_CAMPAIGN_FAULTS,
+         str(tmp_path / "warm.json"), str(tmp_path / "out")],
+        capture_output=True, text=True, env=_child_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 50
 
 
 def test_aggregate_and_curve_extraction():
