@@ -80,6 +80,13 @@ def solve_dl(h_si_eff_f, h_dl_f, gains_b, g1, lambda_b_w, nc, data_idx,
     residual SI power (signal plus measured TX distortion, time-averaged)
     stays strictly below lambda_b_w wins. If none does, the smallest count's
     solution is returned flagged infeasible.
+
+    The distortion only adds power, so a count whose precoded signal alone
+    already reaches lambda_b_w on some antenna cannot win: it is rejected
+    before its downlink SVD and probe frame (the last count is still built,
+    since it is returned). Its probe symbols are drawn all the same, so
+    every later count's probe, and so the result, is the one the full probe
+    would have given.
     """
     n_rx_b, n_tx = h_si_eff_f.shape[1:]
     n_rx_m1 = h_dl_f.shape[1]
@@ -87,8 +94,20 @@ def solve_dl(h_si_eff_f, h_dl_f, gains_b, g1, lambda_b_w, nc, data_idx,
     candidates = list(range(alpha_max, 1, -1)) if alpha_max >= 2 else [1]
 
     _, _, vr = numerics.svd(h_si_eff_f)        # right-singular basis, descending
+    # per-antenna signal power along each right-singular direction, so the
+    # signal part of a count's residual is a sum over its weakest directions
+    # (the precoder's rotation inside the subspace keeps the power)
+    sig_w = np.sum(np.abs(h_si_eff_f @ (g1 * vr)) ** 2, axis=0) / nc
     for alpha in candidates:
         null_basis = vr[:, :, n_tx - alpha:]   # weakest-alpha subspace
+        # the margin covers the rounding between this sum and the probe's
+        # (signal and distortion summed in another order): a count is only
+        # skipped when the full estimate would flag it as well
+        hopeless = np.any(np.sum(sig_w[:, n_tx - alpha:], axis=1)
+                          >= lambda_b_w * (1 + 1e-9))
+        if hopeless and alpha != candidates[-1]:
+            draw_symbols(probe_gen, PROBE_SYMBOLS, nc, data_idx, alpha)
+            continue
         m = h_dl_f @ null_basis                # downlink seen through it
         um, _, fm = numerics.svd(m)
         v = null_basis @ fm                    # (nd, n_tx, alpha), orthonormal

@@ -2,9 +2,11 @@
 self-interference channel of the full-duplex node.
 
 A channel is a dense stack of sample-spaced matrix taps (L, n_rx, n_tx);
-applying it is a linear convolution with zero initial history, run as one
-stacked product (L n_rx, n_tx) @ x per cache-sized column block of the frame
-with the taps' shifted adds inside the block. The same loop filters a
+applying it is a linear convolution with zero initial history. Only the
+tapped delay lines (those with a nonzero tap; the SI channel and the analog
+canceller can leave most lines empty) enter it: one stacked product
+(L' n_rx, n_tx) @ x over the L' tapped lines per cache-sized column block of
+the frame, with their shifted adds inside the block. The same loop filters a
 samplewise basis of the input (the digital canceller's monomials), built one
 block at a time, so the basis is never formed for the whole frame.
 Frequency responses are the unnormalized DFT across the tap axis.
@@ -92,6 +94,9 @@ def gen_rician_si(gen, n_rx, n_tx, lines, losses_db, k_direct_db):
 def apply_channel(x, taps, basis=None):
     """Linear convolution y[k] = sum_l H[l] u[k-l], zero history before k=0.
 
+    Only the delay lines with a nonzero tap enter the product and the
+    shifted adds, in ascending line order; an all-zero line adds nothing.
+
     :param x: (n, n_samples) frame
     :param taps: (L, n_rx, n_tx) tap stack
     :param basis: optional samplewise map of x's columns to n_tx rows, such
@@ -102,19 +107,36 @@ def apply_channel(x, taps, basis=None):
     x = np.atleast_2d(np.asarray(x))
     n_lines, n_rx, n_tx = taps.shape
     n_samp = x.shape[1]
-    stacked = taps.reshape(n_lines * n_rx, n_tx)
+    lines = np.flatnonzero(np.any(taps != 0, axis=(1, 2))).tolist()
+    if not lines:
+        return np.zeros((n_rx, n_samp), dtype=complex)
+    rows = lines
+    if len(lines) * n_rx == 1 < n_lines:
+        # a one-row product runs as a matrix-vector product, which rounds
+        # unlike the dense stack's matrix product: carry one zero line along
+        rows = lines + [0 if lines[0] else 1]
+    stacked = taps if len(lines) == n_lines else taps[rows]  # dense: no copy
+    stacked = stacked.reshape(len(rows) * n_rx, n_tx)
     y = np.empty((n_rx, n_samp), dtype=complex)
+    y[:, :lines[0]] = 0.0                  # no tapped line reaches them yet
+    # the product spans the whole stack's history, trailing zero lines
+    # included: its column count, and so its rounding, stays that of the
+    # dense stack
     buf = np.empty((len(stacked), min(BLOCK + n_lines - 1, n_samp)), complex)
     for k0 in range(0, n_samp, BLOCK):
         k1 = min(k0 + BLOCK, n_samp)
         h0 = max(k0 - n_lines + 1, 0)      # oldest input the block reaches
         u = x[:, h0:k1] if basis is None else basis(x[:, h0:k1])
         p = np.matmul(stacked, u, out=buf[:, :k1 - h0])
-        p = p.reshape(n_lines, n_rx, k1 - h0)
-        y[:, k0:k1] = p[0, :, k0 - h0:]
-        for l in range(1, min(n_lines, k1)):
+        p = p.reshape(len(rows), n_rx, k1 - h0)
+        for i, l in enumerate(lines):
             lo = max(k0, l)                # first output with x[k-l] in frame
-            y[:, lo:k1] += p[l, :, lo - l - h0:k1 - l - h0]
+            if lo >= k1:
+                break
+            if i == 0:
+                y[:, lo:k1] = p[0, :, lo - l - h0:k1 - l - h0]
+            else:
+                y[:, lo:k1] += p[i, :, lo - l - h0:k1 - l - h0]
     return y
 
 

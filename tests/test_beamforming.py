@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from fdlink import numerics
-from fdlink.beamforming import (rate_bits, residual_si_cov, solve_dl,
-                                ul_combiner, ul_precoder)
+from fdlink.beamforming import (PROBE_SYMBOLS, DlSolution, rate_bits,
+                                residual_si_cov, solve_dl, ul_combiner,
+                                ul_precoder)
 from fdlink.config_units import Rng, SystemConfig, complex_normal, dbm_to_linear
-from fdlink.impairments import make_impairment_model, derive_gain_matrices
-from fdlink.waveform import full_bins
+from fdlink.impairments import (check_saturation, derive_gain_matrices,
+                                make_impairment_model, tx_chain)
+from fdlink.waveform import (draw_symbols, full_bins, ofdm_demodulate,
+                             ofdm_modulate)
 
 CFG = SystemConfig()
 NC = CFG.nc
@@ -151,6 +154,75 @@ def test_residual_si_cov_stays_non_negative_in_the_null_space():
     _, _, v = numerics.svd(h)
     cov = residual_si_cov(h, 0.3 * v[:, :, 1:], np.zeros((len(DATA), 2, 4)))
     assert np.all(np.diagonal(cov, axis1=1, axis2=2).real >= 0)
+
+
+def _solve_dl_every_try(h_si_eff_f, h_dl_f, gains_b, g1, lambda_b_w, nc,
+                        data_idx, cp_len, probe_gen, alpha_cap):
+    """solve_dl as it was before it rejected a stream count on its signal
+    part alone: every count gets its SVD and probe frame. The byte-exact
+    oracle of the pruned search."""
+    n_tx = h_si_eff_f.shape[2]
+    alpha_max = min(h_dl_f.shape[1], n_tx, alpha_cap)
+    candidates = list(range(alpha_max, 1, -1)) if alpha_max >= 2 else [1]
+    _, _, vr = numerics.svd(h_si_eff_f)
+    for alpha in candidates:
+        null_basis = vr[:, :, n_tx - alpha:]
+        um, _, fm = numerics.svd(h_dl_f @ null_basis)
+        v = null_basis @ fm
+        s = draw_symbols(probe_gen, PROBE_SYMBOLS, nc, data_idx, alpha)
+        x = ofdm_modulate(s, full_bins(nc, data_idx, v), cp_len)
+        _, z = tx_chain(x, gains_b)
+        zf = ofdm_demodulate(z, nc, cp_len)[:, data_idx, :].transpose(1, 2, 0)
+        cov = residual_si_cov(h_si_eff_f, g1 * v, zf)
+        res_w = np.sum(np.diagonal(cov, axis1=1, axis2=2).real, axis=0) / nc
+        sat = check_saturation(res_w, lambda_b_w)
+        with np.errstate(divide="ignore"):
+            margin = float(10 * np.log10(np.max(res_w) / lambda_b_w))
+        last = DlSolution(
+            v=v, u=um[:, :, :alpha], alpha=alpha, feasible=not np.any(sat),
+            violating_antenna=int(np.argmax(res_w)) if np.any(sat) else None,
+            margin_db=margin, est_residual_w=res_w)
+        if last.feasible:
+            break
+    return last
+
+
+def _uneven_si(gen):
+    """SI whose right-singular directions carry very different powers, so
+    the larger stream counts saturate on their signal part alone."""
+    return 1e-3 * _rand_f(gen, 4, 4) * np.array([1.0, 1.0, 0.1, 0.01])
+
+
+@pytest.mark.parametrize("n_rx_m1,lambda_dbm,pruned", [
+    pytest.param(4, -20.0, 0, id="feasible-first-try"),
+    # 4 and 3 streams: signal alone at -33.6 and -39.7 dBm on the worst
+    # antenna, 2 streams at -58.8 dBm
+    pytest.param(4, -50.0, 2, id="pruned-tries"),
+    pytest.param(4, -39.5, 1, id="built-infeasible-try"),
+    pytest.param(4, -70.0, 2, id="every-try-infeasible"),
+    pytest.param(1, -20.0, 0, id="alpha-max-1"),
+    pytest.param(1, -70.0, 0, id="alpha-max-1-infeasible"),
+])
+def test_solve_dl_equals_the_every_try_search(monkeypatch, n_rx_m1,
+                                              lambda_dbm, pruned):
+    gen = Rng(20).generator
+    h_si, h_dl = _uneven_si(gen), _rand_f(gen, n_rx_m1, 4)
+    args = (h_si, h_dl, _gains(), G1, dbm_to_linear(lambda_dbm), NC, DATA, CP)
+    gen_want, gen_got = Rng(21).generator, Rng(21).generator
+    want = _solve_dl_every_try(*args, gen_want, alpha_cap=4)
+    svds = []
+    real_svd = numerics.svd
+    monkeypatch.setattr(numerics, "svd",
+                        lambda a: svds.append(a.shape) or real_svd(a))
+    got = solve_dl(*args, gen_got, alpha_cap=4)
+    tries = min(n_rx_m1, 4) - want.alpha + 1 if n_rx_m1 > 1 else 1
+    assert len(svds) == 1 + tries - pruned     # the SI's, then one per build
+    for name in ("alpha", "feasible", "violating_antenna", "margin_db"):
+        assert getattr(got, name) == getattr(want, name), name
+    for name in ("v", "u", "est_residual_w"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    # the probe stream is left where the every-try search leaves it
+    assert gen_got.random() == gen_want.random()
 
 
 def test_dl_alpha_cap():

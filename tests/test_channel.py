@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from fdlink.config_units import (SystemConfig, db_to_linear, dbm_to_linear,
-                                 preset)
+from fdlink.config_units import (SystemConfig, complex_normal, db_to_linear,
+                                 dbm_to_linear, preset)
 from fdlink.channel import (BLOCK, apply_channel, direct_coupling_matrix,
                             estimate_with_mse, gen_rayleigh, gen_rician_si,
                             to_freq)
+from fdlink.impairments import build_augmented_vector
 
 
 def _gen(seed=0):
@@ -96,6 +97,92 @@ def test_apply_channel_zero_history():
     x = np.arange(1.0, 6.0)[None, :]
     y = apply_channel(x, taps)
     assert np.allclose(y[0], [0, 1, 2, 3, 4])
+
+
+def _dense_apply_channel(x, taps, basis=None):
+    """apply_channel as it was before it skipped all-zero delay lines: every
+    line of the stack in the stacked product and the shifted adds. The
+    byte-exact oracle of the tapped-lines-only convolution."""
+    x = np.atleast_2d(np.asarray(x))
+    n_lines, n_rx, n_tx = taps.shape
+    n_samp = x.shape[1]
+    stacked = taps.reshape(n_lines * n_rx, n_tx)
+    y = np.empty((n_rx, n_samp), dtype=complex)
+    buf = np.empty((len(stacked), min(BLOCK + n_lines - 1, n_samp)), complex)
+    for k0 in range(0, n_samp, BLOCK):
+        k1 = min(k0 + BLOCK, n_samp)
+        h0 = max(k0 - n_lines + 1, 0)
+        u = x[:, h0:k1] if basis is None else basis(x[:, h0:k1])
+        p = np.matmul(stacked, u, out=buf[:, :k1 - h0])
+        p = p.reshape(n_lines, n_rx, k1 - h0)
+        y[:, k0:k1] = p[0, :, k0 - h0:]
+        for l in range(1, min(n_lines, k1)):
+            lo = max(k0, l)
+            y[:, lo:k1] += p[l, :, lo - l - h0:k1 - l - h0]
+    return y
+
+
+def _bytes(y):
+    """y's bytes with -0 read as +0. An output no tapped line reaches is an
+    exact zero in both loops, but the dense loop's product of all-zero
+    lines gives it either sign, depending on the data; adding +0 maps -0 to
+    +0 and leaves every other value as it is."""
+    return (y + 0j).tobytes()
+
+
+def _tapped(gen, n_lines, tapped, n_rx, n_tx):
+    taps = np.zeros((n_lines, n_rx, n_tx), dtype=complex)
+    taps[tapped] = complex_normal(gen, (len(tapped), n_rx, n_tx))
+    return taps
+
+
+# (stack length, tapped lines, frame length, receive antennas): the SI
+# stacks of lte20 and nr100, an empty first line, empty interior lines,
+# empty trailing lines, an all-zero stack, stacks longer than the frame,
+# frames across the stacked product's block edges, and one receive antenna
+# with one tapped line, a one-row product (which a matrix-vector product
+# would round differently at three transmit antennas)
+_SPARSE = [
+    (6, [0, 2, 3, 5], 2 * BLOCK + 17, 2),
+    (19, [0, 6, 12, 18], 2 * BLOCK + 3, 2),
+    (8, [3, 7], BLOCK + 5, 2),
+    (8, [2, 5], BLOCK - 1, 2),
+    (8, [1, 4], BLOCK, 2),
+    (9, [0, 1], BLOCK + 1, 2),
+    (7, [], 300, 2),
+    (12, [4, 9], 6, 2),
+    (12, [10], 6, 2),
+    (12, [0, 11], 11, 2),
+    (5, [0, 1, 2, 3, 4], 2 * BLOCK + 4, 2),
+    (6, [0], 200, 1),
+    (6, [3], 200, 1),
+    (6, [2, 5], 200, 1),
+]
+
+
+@pytest.mark.parametrize("n_lines,tapped,n_samp,n_rx", _SPARSE)
+def test_apply_channel_bytes_equal_the_dense_line_loop(n_lines, tapped,
+                                                       n_samp, n_rx):
+    gen = _gen(n_lines * 7919 + n_samp)
+    taps = _tapped(gen, n_lines, tapped, n_rx, 3)
+    x = complex_normal(gen, (3, n_samp))
+    got = apply_channel(x, taps)
+    assert _bytes(got) == _bytes(_dense_apply_channel(x, taps))
+
+
+@pytest.mark.parametrize("n_lines,tapped,n_samp", [
+    (6, [1, 3, 5], BLOCK + 9),
+    (4, [0, 3], 2 * BLOCK),
+    (3, [], 40),
+])
+def test_apply_channel_over_a_basis_bytes_equal_the_dense_line_loop(
+        n_lines, tapped, n_samp):
+    gen = _gen(n_lines + n_samp)
+    taps = _tapped(gen, n_lines, tapped, 2, 12)     # 6 monomials of 2 inputs
+    x = complex_normal(gen, (2, n_samp))
+    got = apply_channel(x, taps, build_augmented_vector)
+    want = _dense_apply_channel(x, taps, build_augmented_vector)
+    assert _bytes(got) == _bytes(want)
 
 
 # --- frequency responses -----------------------------------------------------
