@@ -59,8 +59,8 @@ def normal_equations(u, y, l_si):
     without forming psi. Block row 0 of G and all of C take one product
     each per delay line, u and y against the same shifted view of a delayed
     conj(u), of inner length T like the dense product: OpenBLAS rounds a
-    shorter inner length differently at other thread counts, so serial and
-    parallel runs would disagree. The other blocks follow from
+    shorter inner length differently, so the recorded output bytes
+    (tests/golden.py) would move. The other blocks follow from
     G[l, m] = G[l-1, m-1] - u[:, T-l] u[:, T-m]^H.
     """
     y = np.atleast_2d(np.asarray(y))

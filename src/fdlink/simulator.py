@@ -491,20 +491,20 @@ def monte_carlo(spec, workers=1):
     for point_idx, (label, cfg) in enumerate(spec.points):
         tasks += [(cfg, spec.seed, point_idx, run_idx, spec.stages, label)
                   for run_idx in range(spec.runs)]
-    if workers > 1:
-        # numpy loads these on first use; loading them before the fork
-        # spares every worker the import in its first frame
-        import numpy.fft
-        import numpy.random
-        # workers fork at one BLAS thread, so none builds a BLAS thread pool
-        # and the pool does not oversubscribe the CPUs; each keeps its heap
-        ctx = multiprocessing.get_context("fork")
-        with numerics.blas_threads(1), \
-                ctx.Pool(min(workers, len(tasks)),
-                         initializer=numerics.keep_heap) as pool:
-            results = pool.map(_mc_task, tasks, chunksize=1)
-    else:
-        results = [_mc_task(t) for t in tasks]
+    # every frame runs at one BLAS thread, so the bytes depend neither on
+    # workers nor on the core count; pool workers fork with the cap
+    with numerics.blas_threads(1):
+        if workers > 1:
+            # numpy loads these on first use; loading them before the fork
+            # spares every worker the import in its first frame
+            import numpy.fft
+            import numpy.random
+            ctx = multiprocessing.get_context("fork")
+            with ctx.Pool(min(workers, len(tasks)),
+                          initializer=numerics.keep_heap) as pool:
+                results = pool.map(_mc_task, tasks, chunksize=1)
+        else:
+            results = [_mc_task(t) for t in tasks]
     return MonteCarloResult(
         spec=spec,
         records=[r for r in results if not isinstance(r, RunFailure)],

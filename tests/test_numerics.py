@@ -147,7 +147,9 @@ def test_blas_threads_restores_count_when_body_raises():
 
 def test_monte_carlo_worker_runs_one_os_thread(monkeypatch):
     # a worker that set its own cap after the fork re-created OpenBLAS's
-    # thread pool and carried one extra, spinning OS thread
+    # thread pool and carried one extra, spinning OS thread. A serial frame
+    # also runs at one BLAS thread, but the OpenBLAS threads this process
+    # already made stay alive, so only the count applies there
     if _openblas_thread_count() is None or (os.cpu_count() or 1) < 2:
         pytest.skip("needs OpenBLAS and at least two CPUs")
     real_run_frame = simulator.run_frame
@@ -160,6 +162,8 @@ def test_monte_carlo_worker_runs_one_os_thread(monkeypatch):
     monkeypatch.setattr(simulator, "run_frame", probe)
     cfg = SystemConfig().override(frame_symbols=12, train_symbols=4)
     spec = ScenarioSpec(name="t", config=cfg, runs=4, stages="analog")
+    serial = monte_carlo(spec, workers=1)
+    assert [blas for blas, _ in serial.records] == [1] * 4
     result = monte_carlo(spec, workers=2)   # forked workers see probe
     assert result.records == [(1, 1)] * 4
 
@@ -170,9 +174,10 @@ def test_monte_carlo_pool_leaves_parent_blas_alone():
         pytest.skip("no OpenBLAS mapped")
     cfg = SystemConfig().override(frame_symbols=12, train_symbols=4)
     spec = ScenarioSpec(name="t", config=cfg, runs=2, stages="analog")
-    result = monte_carlo(spec, workers=2)
-    assert len(result.records) == 2
-    assert _openblas_thread_count() == before
+    for workers in (1, 2):
+        result = monte_carlo(spec, workers=workers)
+        assert len(result.records) == 2
+        assert _openblas_thread_count() == before, workers
 
 
 # --- heap reuse --------------------------------------------------------------
