@@ -7,7 +7,7 @@ residual SI stays under the RF saturation threshold, then eigenbeamforms the
 downlink inside that subspace. Uplink: the uplink user eigenbeamforms its
 estimated channel and the FD node combines with the generalized-eigenvector
 (interference-whitening) receiver built from the interference-plus-noise
-covariance its caller measured.
+covariance its caller measured, computed on the Cholesky-whitened channel.
 
 Per-subcarrier arrays hold the data bins only, (nd, ...), in
 `cfg.data_idx` order; the stream count is one integer per coherence block.
@@ -36,12 +36,6 @@ class DlSolution:
     margin_db: float           # worst antenna's estimated residual over the
                                # threshold, dB (negative when feasible)
     est_residual_w: np.ndarray # per-antenna estimated residual SI, watts
-
-
-def _unit_columns(v):
-    n = np.linalg.norm(v, axis=-2, keepdims=True)
-    n[n == 0] = 1.0
-    return v / n
 
 
 def _bin_cov(x):
@@ -88,7 +82,7 @@ def solve_dl(h_si_eff_f, h_dl_f, gains_b, g1, lambda_b_w, nc, data_idx,
     every later count's probe, and so the result, is the one the full probe
     would have given.
     """
-    n_rx_b, n_tx = h_si_eff_f.shape[1:]
+    n_tx = h_si_eff_f.shape[2]
     n_rx_m1 = h_dl_f.shape[1]
     alpha_max = min(n_rx_m1, n_tx, alpha_cap)
     candidates = list(range(alpha_max, 1, -1)) if alpha_max >= 2 else [1]
@@ -146,21 +140,21 @@ def ul_precoder(h_ul_f, d_m2):
 
 
 def ul_combiner(heff, ipn):
-    """Interference-whitening UL receive combiner, one column per stream.
+    """Interference-whitening UL receive combiner, one unit column per stream.
 
     heff (nd, n_rx, d) is the effective uplink channel, precoder and
-    amplitude included. Takes the dominant generalized eigenvectors of its
-    signal Gram against the per-bin interference-plus-noise covariance ipn
-    (nd, n_rx, n_rx): the row eigenvectors of signal_gram @ ipn^-1, i.e.
-    eig(ipn^-1 @ signal_gram).
+    amplitude included. The columns span the dominant generalized
+    eigenvectors of (heff heff^H, ipn) for the per-bin interference-plus-noise
+    covariance ipn = L L^H (nd, n_rx, n_rx): L^-H times the top-d
+    left-singular vectors of the whitened channel L^-1 heff.
     """
-    s0 = heff @ numerics.herm(heff)
     try:
-        m = np.linalg.solve(ipn, s0)
+        chol = np.linalg.cholesky(ipn)
     except np.linalg.LinAlgError as exc:
         raise numerics.NumericalError(f"IpN covariance is singular: {exc}") from None
-    _, vec = numerics.eig_general(m)
-    return _unit_columns(vec[:, :, :heff.shape[2]])
+    u, _, _ = numerics.svd(np.linalg.solve(chol, heff))
+    v = np.linalg.solve(numerics.herm(chol), u[:, :, :heff.shape[2]])
+    return v / np.linalg.norm(v, axis=-2, keepdims=True)  # never a zero column
 
 
 def rate_bits(s_mat, q_mat):

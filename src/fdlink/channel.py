@@ -115,8 +115,7 @@ def apply_channel(x, taps, basis=None):
         # a one-row product runs as a matrix-vector product, which rounds
         # unlike the dense stack's matrix product: carry one zero line along
         rows = lines + [0 if lines[0] else 1]
-    stacked = taps if len(lines) == n_lines else taps[rows]  # dense: no copy
-    stacked = stacked.reshape(len(rows) * n_rx, n_tx)
+    stacked = taps[rows].reshape(len(rows) * n_rx, n_tx)
     y = np.empty((n_rx, n_samp), dtype=complex)
     y[:, :lines[0]] = 0.0                  # no tapped line reaches them yet
     # the product spans the whole stack's history, trailing zero lines

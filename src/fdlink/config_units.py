@@ -6,6 +6,7 @@ is a 20 MHz 64-subcarrier OFDM link with a 4x4 full-duplex node, one downlink
 user and one uplink user.
 """
 
+import math
 import numbers
 import typing
 from dataclasses import dataclass, fields, replace, asdict
@@ -96,14 +97,17 @@ _TUPLE_FIELDS = {"si_delays_ns", "si_losses_db"}
 
 def _is_a(v, kind):
     """Field type check for JSON input: a bool is no number, an int is a
-    real, and a tuple holds real numbers."""
+    real, a tuple holds real numbers, and every number is finite as a float
+    (no NaN, no infinity, no integer beyond float range)."""
     if kind in (bool, str, type(None)):
         return isinstance(v, kind)
-    if isinstance(v, bool):
-        return False
     if kind is tuple:
         return isinstance(v, tuple) and all(_is_a(x, float) for x in v)
-    return isinstance(v, numbers.Integral if kind is int else numbers.Real)
+    try:
+        return (isinstance(v, numbers.Integral if kind is int else numbers.Real)
+                and not isinstance(v, bool) and math.isfinite(v))
+    except OverflowError:               # an int beyond float range
+        return False
 
 
 @dataclass(frozen=True)
@@ -141,9 +145,8 @@ class SystemConfig:
 
     # analog canceller
     n_taps: int = 32
-    attenuation_step_db: float = 0.02
-    phase_step_deg: float = 0.13
-    tap_quantization: bool = True
+    attenuation_step_db: float = 0.02       # 0 = exact tap magnitudes
+    phase_step_deg: float = 0.13            # 0 = exact tap phases
     greedy_taps: bool = False               # magnitude-greedy tap allocation
 
     # TX impairments
@@ -232,8 +235,8 @@ class SystemConfig:
             raise ConfigError("n_data must be in (0, nc)")
         if c.n_data % 2:
             raise ConfigError("n_data must be even (symmetric around DC)")
-        if not 0 < c.subcarrier_spacing_hz < np.inf:
-            raise ConfigError("subcarrier_spacing_hz must be finite and > 0")
+        if c.subcarrier_spacing_hz <= 0:
+            raise ConfigError("subcarrier_spacing_hz must be > 0")
         if c.d_b is not None and not (1 <= c.d_b <= min(c.n_tx_b, c.n_rx_m1)):
             raise ConfigError("d_b must be in [1, min(n_tx_b, n_rx_m1)]")
         if c.d_m2 is not None and not (1 <= c.d_m2 <= min(c.n_tx_m2, c.n_rx_b)):
@@ -242,9 +245,8 @@ class SystemConfig:
             raise ConfigError("si_delays_ns and si_losses_db lengths differ")
         if len(c.si_delays_ns) == 0:
             raise ConfigError("at least one SI path is required")
-        if not (all(0 <= d < np.inf for d in c.si_delays_ns)
-                and np.all(np.isfinite(c.si_losses_db))):
-            raise ConfigError("SI delays must be finite and >= 0, losses finite")
+        if min(c.si_delays_ns) < 0:
+            raise ConfigError("SI delays must be >= 0")
         if c.delay_profile not in ("uniform", "exponential"):
             raise ConfigError("delay_profile must be 'uniform' or 'exponential'")
         if c.l_dl < 1 or c.l_ul < 1:
@@ -262,6 +264,8 @@ class SystemConfig:
         budget = c.n_rx_b * c.n_tx_b * len(np.unique(self.si_delay_samples))
         if not (1 <= c.n_taps <= budget):
             raise ConfigError(f"n_taps must be in [1, {budget}]")
+        if c.attenuation_step_db < 0 or c.phase_step_deg < 0:
+            raise ConfigError("tap step sizes must be >= 0 (0 = exact taps)")
         if c.irr_db is not None and c.irr_db <= 0:
             raise ConfigError("irr_db must be positive (or None for ideal)")
         if c.adc_bits < 2 or c.adc_bits > 24:

@@ -38,7 +38,7 @@ def make_impairment_model(irr_db=30.0, iip3_dbm=15.0, pa_gain_db=38.0):
         10^(pa_gain_db/20)
     """
     nu1 = 10.0 ** (pa_gain_db / 20.0)
-    if irr_db is None or np.isinf(irr_db):
+    if irr_db is None:
         g = 1.0
     else:
         if irr_db <= 0:

@@ -137,11 +137,10 @@ def _channels(cfg, rng):
 
 
 def _analog_canceller(cfg, est_si, rng):
-    """Tap the estimated SI channel; returns the canceller's tap stack."""
-    canc = build_canceller(est_si, cfg.n_taps, greedy=cfg.greedy_taps)
-    if cfg.tap_quantization:
-        canc = quantize_taps(canc, rng.child(2).generator,
-                             cfg.attenuation_step_db, cfg.phase_step_deg)
+    """Tap the estimated SI channel, quantized; returns the tap stack."""
+    canc = quantize_taps(build_canceller(est_si, cfg.n_taps, cfg.greedy_taps),
+                         rng.child(2).generator, cfg.attenuation_step_db,
+                         cfg.phase_step_deg)
     return canc.matrices()
 
 

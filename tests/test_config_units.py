@@ -128,6 +128,7 @@ def test_stream_count_overrides():
     dict(si_delays_ns=(0.0, 50.0, float("nan"), 150.0)),
     dict(si_losses_db=(40.0, 50.0, 60.0, float("inf"))),
     dict(train_symbols=0),
+    dict(attenuation_step_db=-0.02),
 ])
 def test_validation_rejects(kw):
     with pytest.raises(ConfigError):
@@ -137,7 +138,8 @@ def test_validation_rejects(kw):
 @pytest.mark.parametrize("kw,match", [
     (dict(subcarrier_spacing_hz=0.0), "subcarrier_spacing_hz"),
     (dict(si_delays_ns=(0.0, 1e300, 1e300, 1e300)), "channel spread"),
-    (dict(si_losses_db=(40.0, 50.0, 60.0, float("inf"))), "finite")])
+    (dict(si_losses_db=(40.0, 50.0, 60.0, float("inf"))), "si_losses_db"),
+    (dict(phase_step_deg=-0.13), "step sizes")])
 def test_validation_names_the_bad_value(kw, match):
     with pytest.raises(ConfigError, match=match):
         SystemConfig(**kw)
@@ -166,10 +168,13 @@ def test_n_taps_budget_counts_shared_sample_lines(lines, dup, offsets_ns,
         cfg.override(n_taps=budget + 1)
 
 
-# RFC 8259 calls integers interoperable up to 2**53 - 1 in magnitude
+# RFC 8259 calls integers interoperable up to 2**53 - 1 in magnitude;
+# Python's json module also reads NaN, Infinity, -Infinity and integers
+# beyond float range
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-2 ** 53 + 1, 2 ** 53 - 1)
-    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6),
+    | st.integers(2 ** 1024, 2 ** 2000) | st.integers(-2 ** 2000, -2 ** 1024)
+    | st.floats() | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=5)
     | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=8)
@@ -184,6 +189,21 @@ def test_any_json_value_builds_or_raises_config_error(name, value):
     except ConfigError:
         return
     assert cfg.to_dict()[name] == value
+
+
+_NUMBER_FIELDS = [f.name for f in fields(SystemConfig)
+                if f.type not in (bool, str)]
+_NOT_FINITE = {"nan": float("nan"), "inf": float("inf"),
+               "-inf": -float("inf"), "2**1024": 2 ** 1024,
+               "-2**2000": -2 ** 2000}
+
+
+@pytest.mark.parametrize("bad", _NOT_FINITE.values(), ids=_NOT_FINITE.keys())
+@pytest.mark.parametrize("name", _NUMBER_FIELDS)
+def test_every_number_field_rejects_non_finite_numbers(name, bad):
+    value = [0.0, bad] if name in ("si_delays_ns", "si_losses_db") else bad
+    with pytest.raises(ConfigError, match=name):
+        SystemConfig.from_dict({name: value})
 
 
 def test_dict_round_trip_and_unknown_keys():

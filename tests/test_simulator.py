@@ -154,7 +154,8 @@ def test_run_frame_negligible_si():
 def test_run_frame_full_tap_ideal_canceller():
     # perfect CSI + one tap per (delay, rx, tx) pair + exact hardware:
     # the analog stage alone reaches numerical-noise residuals
-    cfg = _small_cfg(n_taps=64, tap_quantization=False, channel_mse_db=None)
+    cfg = _small_cfg(n_taps=64, attenuation_step_db=0.0, phase_step_deg=0.0,
+                     channel_mse_db=None)
     rec = run_frame(cfg, Rng(7).child(0, 0), stages="analog")
     assert rec.residual_si_dbm < -200.0
     assert rec.p_saturation == 0
@@ -197,7 +198,9 @@ _SMALL_CONFIGS = st.fixed_dictionaries({
     "nc": st.sampled_from([16, 32, 64]), "cp_len": st.integers(3, 15),
     "l_dl": st.integers(1, 4), "l_ul": st.integers(1, 4),
     "frame_symbols": st.integers(1, 8), "train_symbols": st.integers(1, 3),
-    "greedy_taps": st.booleans(), "tap_quantization": st.booleans(),
+    "greedy_taps": st.booleans(),
+    "attenuation_step_db": st.sampled_from([0.0, 0.02]),
+    "phase_step_deg": st.sampled_from([0.0, 0.13]),
     "irr_db": st.sampled_from([None, 30.0]),
     "iip3_dbm": st.sampled_from([None, 15.0]),
     "channel_mse_db": st.sampled_from([None, -20.0]),
@@ -648,7 +651,8 @@ def test_cli_config_errors(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key", ["adc_papr_db", "adc_dynamic_range_db",
-                                 "bandwidth_hz", "data_subcarriers"])
+                                 "bandwidth_hz", "data_subcarriers",
+                                 "tap_quantization"])
 def test_cli_rejects_removed_config_keys(tmp_path, capsys, key):
     # these keys once were accepted and changed nothing
     path = _write_cfg(tmp_path, {key: 10.0})
@@ -672,6 +676,7 @@ def test_cli_rejects_wrongly_typed_config_values(tmp_path, capsys, key,
 @pytest.mark.parametrize("key,value", [
     ("runs", "3"), ("seed", "5"), ("runs", 0), ("runs", -2),
     pytest.param("seed", -1, id="seed-negative"),
+    pytest.param("seed", 2 ** 1100, id="seed-beyond-float-range"),
     pytest.param("sweep", [], id="sweep-empty"),
     pytest.param("sweep", "abc", id="sweep-string"),
     pytest.param("sweep", [1, 2], id="sweep-numbers"),
@@ -702,6 +707,29 @@ def test_cli_rejects_bad_scenario_values(tmp_path, capsys, key, value):
     assert main(["sweep", "--spec", str(p), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and key in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("where", ["config", "sweep"])
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity",
+                                     pytest.param(str(2 ** 1100), id="2**1100")])
+def test_cli_rejects_non_finite_numbers_before_any_run(tmp_path, capsys,
+                                                       monkeypatch, where,
+                                                       literal):
+    # json reads these literals; a NaN threshold once flagged no saturation
+    # and let every run complete
+    def boom(*args, **kwargs):
+        raise AssertionError("a frame ran")
+    monkeypatch.setattr(simulator, "run_frame", boom)
+    bad = '{"lambda_b_dbm": %s}' % literal
+    config, sweep = ((bad, "[{}]") if where == "config"
+                     else (json.dumps(SMALL), "[%s]" % bad))
+    p = tmp_path / "scn.json"
+    p.write_text('{"name": "demo", "runs": 1, "config": %s, "sweep": %s}'
+                 % (config, sweep))
+    assert main(["sweep", "--spec", str(p), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "lambda_b_dbm" in err
     assert not (tmp_path / "o").exists()
 
 
