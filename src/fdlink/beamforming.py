@@ -38,14 +38,15 @@ class DlSolution:
     est_residual_w: np.ndarray # per-antenna estimated residual SI, watts
 
 
-def _bin_cov(x):
+def bin_cov(x):
     """Per-bin covariance over the symbols of x (nd, n, sym): (nd, n, n)."""
     return (x @ numerics.herm(x)) / x.shape[2]
 
 
-def _through(h, cov):
-    """The per-bin covariance cov seen through the per-bin channel h."""
-    return h @ cov @ numerics.herm(h)
+def cov_through(h, x):
+    """The per-bin covariance of x (nd, n, sym) seen through the per-bin
+    channel h (nd, m, n): (nd, m, m)."""
+    return h @ bin_cov(x) @ numerics.herm(h)
 
 
 def residual_si_cov(h_si_eff_f, a, z_bins):
@@ -55,7 +56,7 @@ def residual_si_cov(h_si_eff_f, a, z_bins):
     z_bins (nd, n_tx, sym), through h. The signal part is (h a)(h a)^H, as
     h (a a^H) h^H can round below 0 when a lies in the null space of h."""
     sig = h_si_eff_f @ a
-    return sig @ numerics.herm(sig) + _through(h_si_eff_f, _bin_cov(z_bins))
+    return sig @ numerics.herm(sig) + cov_through(h_si_eff_f, z_bins)
 
 
 def solve_dl(h_si_eff_f, h_dl_f, gains_b, g1, lambda_b_w, nc, data_idx,

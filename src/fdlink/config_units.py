@@ -95,19 +95,25 @@ def complex_normal(gen, shape, var=1.0):
 _TUPLE_FIELDS = {"si_delays_ns", "si_losses_db"}
 
 
-def _is_a(v, kind):
+def _is_a(v, kind, finite=True):
     """Field type check for JSON input: a bool is no number, an int is a
-    real, a tuple holds real numbers, and every number is finite as a float
-    (no NaN, no infinity, no integer beyond float range)."""
+    real, a tuple holds real numbers, and, if finite, every number is
+    finite as a float (no NaN, no infinity, no integer beyond float range)."""
     if kind in (bool, str, type(None)):
         return isinstance(v, kind)
     if kind is tuple:
-        return isinstance(v, tuple) and all(_is_a(x, float) for x in v)
+        return isinstance(v, tuple) and all(_is_a(x, float, finite) for x in v)
     try:
         return (isinstance(v, numbers.Integral if kind is int else numbers.Real)
-                and not isinstance(v, bool) and math.isfinite(v))
+                and not isinstance(v, bool) and (not finite or math.isfinite(v)))
     except OverflowError:               # an int beyond float range
         return False
+
+
+def check_int(name, v, low):
+    """Raise a ConfigError unless v is an integer >= low."""
+    if not (_is_a(v, int) and v >= low):
+        raise ConfigError(f"{name} must be an integer >= {low}")
 
 
 @dataclass(frozen=True)
@@ -172,6 +178,8 @@ class SystemConfig:
             kinds = typing.get_args(f.type) or (f.type,)   # int | None
             if not any(_is_a(v, k) for k in kinds):
                 name = getattr(f.type, "__name__", f.type)
+                if any(_is_a(v, k, finite=False) for k in kinds):
+                    name = "finite as a float"
                 raise ConfigError(f"{f.name} must be {name}, got {v!r}")
         self._validate()
 
@@ -226,9 +234,9 @@ class SystemConfig:
 
     def _validate(self):
         c = self
-        for name in ("n_tx_b", "n_rx_b", "n_rx_m1", "n_tx_m2"):
-            if getattr(c, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+        for name in ("n_tx_b", "n_rx_b", "n_rx_m1", "n_tx_m2", "l_dl", "l_ul",
+                     "frame_symbols", "train_symbols"):
+            check_int(name, getattr(c, name), 1)
         if c.nc < 8 or c.nc & (c.nc - 1):
             raise ConfigError("nc must be a power of two >= 8")
         if not (0 < c.n_data < c.nc):
@@ -249,8 +257,6 @@ class SystemConfig:
             raise ConfigError("SI delays must be >= 0")
         if c.delay_profile not in ("uniform", "exponential"):
             raise ConfigError("delay_profile must be 'uniform' or 'exponential'")
-        if c.l_dl < 1 or c.l_ul < 1:
-            raise ConfigError("link channel lengths must be >= 1")
         # the SI spread in float: the int cast of si_delay_samples overflows
         si_spread = np.round(max(c.si_delays_ns) * 1e-9 * c.sample_rate_hz)
         max_spread = max(si_spread, c.l_dl - 1, c.l_ul - 1)
@@ -270,9 +276,6 @@ class SystemConfig:
             raise ConfigError("irr_db must be positive (or None for ideal)")
         if c.adc_bits < 2 or c.adc_bits > 24:
             raise ConfigError("adc_bits out of range")
-        for name in ("frame_symbols", "train_symbols"):
-            if getattr(c, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
 
     # -- serialization -------------------------------------------------------
 

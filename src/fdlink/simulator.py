@@ -1,22 +1,22 @@
 """Monte Carlo link simulator for the three-node full-duplex scenario.
 
-`run_frame` runs one coherence block as a sequence of stage functions:
-channels and CSI, the analog canceller, the downlink beamformer under the
-RF saturation constraint with one continuous frame (digital-canceller
-training symbols with the uplink muted, then payload), the uplink, the ADC,
-the digital canceller, and the rates against a half-duplex baseline. Each
-stage draws from its own child stream, and `stages` stops the chain after
-the analog or the digital metrics. Runs are deterministic in (seed, sweep
-point, run index) and embarrassingly parallel.
+`run_frame` runs one coherence block as a list of stage calls: channels and
+CSI, the analog canceller, the uplink, the downlink beamformer under the RF
+saturation constraint with one continuous frame (canceller training symbols
+with the uplink muted, then payload) and its SI, the analog metrics, the ADC
+and the digital canceller with its shadow metrics, and the rates against a
+half-duplex baseline. Each stage draws from its own child stream, and `stages`
+stops the chain after the analog or the digital metrics. Runs are
+deterministic in (seed, sweep point, run index) and embarrassingly parallel.
 
-Lifetime rule: a frame-long array is reduced, right where it is made, to
-what later stages read of it (a covariance, a power, a PSD, a rate, or a
-sum taken in place into another frame array) and is freed there. The
-uplink is muted over the training window, so it is built as payload only,
-and a `digital` frame quantizes only the training window the canceller
-fits. Moving a stage's work earlier moves none of its draws, since each
-stage has its own stream, and every sum keeps its operand order, so the
-order of the work changes no number.
+Lifetime rule: a frame-long array is made, reduced to what later stages read
+of it (a covariance, a power, a PSD, a rate, or a sum taken in place into
+another frame array) and freed in one stage. The uplink is muted over the
+training window, so it is built as payload only, and a `digital` frame
+quantizes only the training window. The peak falls at the analog metrics and
+their PSDs, where the transmit, SI, noise and shadow frames coexist, or in a
+`full` frame after the digital fit. Each stage has its own stream and every
+sum keeps its operand order, so the order of the work changes no number.
 """
 
 import csv
@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import numerics
-from .config_units import (Rng, SystemConfig, ConfigError, _is_a,
+from .config_units import (Rng, SystemConfig, ConfigError, check_int,
                            complex_normal, dbm_to_linear, linear_to_db,
                            linear_to_dbm, preset)
 from .waveform import (draw_symbols, frame_power, full_bins, ofdm_modulate,
@@ -40,7 +40,7 @@ from .impairments import (adc_full_scale, adc_quantize,
 from .channel import (apply_channel, estimate_with_mse, gen_rayleigh,
                       gen_rician_si, to_freq)
 from .analog_canceller import build_canceller, quantize_taps
-from .beamforming import (_bin_cov, _through, rate_bits, residual_si_cov,
+from .beamforming import (bin_cov, cov_through, rate_bits, residual_si_cov,
                           solve_dl, ul_combiner, ul_precoder)
 # build_design_matrix, tsvd_estimate: unused, but perfbench/bench.py wraps them
 from .digital_canceller import (build_design_matrix, cancel_signal,
@@ -119,7 +119,7 @@ def _measured_rate(cfg, y_frames, u, s):
         raise numerics.NumericalError("payload too short to fit the demod "
                                       f"reference: {exc}") from None
     err = comb - s_mat @ s_known
-    return float(np.mean(rate_bits(s_mat, _bin_cov(err))))
+    return float(np.mean(rate_bits(s_mat, bin_cov(err))))
 
 
 def _channels(cfg, rng):
@@ -155,10 +155,10 @@ def _precoded_frame(cfg, gen, n_symbols, v):
 def _uplink(cfg, model, est_ul, h_ul, rng, rates):
     """The uplink payload received at the node; the uplink is muted over the
     training window, so only the payload is modulated, distorted and sent.
-    Returns (ul_rx, ul, ul_dist). With rates, ul and ul_dist hold what the
-    uplink rates read: (effective data-bin channel estimate, symbols) and
-    the covariance of the uplink TX distortion seen through the estimate;
-    else both are None."""
+    Returns (ul_rx, ul). With rates, ul holds what the uplink rates read:
+    the effective data-bin channel estimate, the symbols, and the
+    covariance of the uplink TX distortion seen through the estimate; else
+    it is None."""
     h_ul_est = to_freq(est_ul, cfg.nc)[cfg.data_idx]
     g1_m2 = np.sqrt(dbm_to_linear(cfg.p_m2_dbm) / cfg.n_tx_m2)
     v_m2 = ul_precoder(h_ul_est, cfg.ul_streams)
@@ -166,12 +166,50 @@ def _uplink(cfg, model, est_ul, h_ul, rng, rates):
                                  cfg.frame_symbols, v_m2)
     xt_m2, z_m2 = tx_chain(x_m2, derive_gain_matrices(model, g1_m2))
     del x_m2
-    ul = ul_dist = None
-    if rates:
-        ul = (h_ul_est @ (g1_m2 * v_m2), s_m2)
-        ul_dist = _through(h_ul_est, _bin_cov(_data_bins(cfg, z_m2)))
+    ul = ((h_ul_est @ (g1_m2 * v_m2), s_m2,
+           cov_through(h_ul_est, _data_bins(cfg, z_m2))) if rates else None)
     del z_m2, s_m2
-    return apply_channel(xt_m2, h_ul), ul, ul_dist
+    return apply_channel(xt_m2, h_ul), ul
+
+
+class Downlink(NamedTuple):
+    """What the metrics and the rates read of the node's downlink."""
+    alpha: int                  # stream count
+    gains: object               # the node's impairments.GainMatrices
+    h_dl_est: np.ndarray        # (nd, n_rx_m1, n_tx_b) estimated downlink
+    si_cov: np.ndarray | None   # residual SI covariance, with rates
+    dl_rate: float              # nan without rates
+
+
+def _transmit(cfg, model, h_si, h_dl, est_si, est_dl, c_mats, rng, rates):
+    """The node's beamformer under the RF saturation constraint, its frame
+    through the TX chain, and that frame through the SI channel and the
+    analog canceller; returns (Downlink, x_b, si_rx, si_res). The residual
+    SI covariance and the downlink rate free their frames before the SI
+    frames are made."""
+    nc, data = cfg.nc, cfg.data_idx
+    pay = slice(cfg.train_symbols * (nc + cfg.cp_len), None)
+    h_si_eff = (to_freq(est_si, nc) + to_freq(c_mats, nc))[data]
+    h_dl_est = to_freq(est_dl, nc)[data]
+    g1_b = np.sqrt(dbm_to_linear(cfg.p_b_dbm) / cfg.n_tx_b)
+    gains_b = derive_gain_matrices(model, g1_b)
+    dl = solve_dl(h_si_eff, h_dl_est, gains_b, g1_b, cfg.lambda_b_w,
+                  nc, data, cfg.cp_len, rng.child(3).generator,
+                  alpha_cap=cfg.dl_streams)
+    s_b, x_b = _precoded_frame(cfg, rng.child(4).generator,
+                               cfg.train_symbols + cfg.frame_symbols, dl.v)
+    xt_b, z_b = tx_chain(x_b, gains_b)
+    si_cov = (residual_si_cov(h_si_eff, g1_b * dl.v,
+                              _data_bins(cfg, z_b[:, pay])) if rates else None)
+    del z_b
+    dl_rate = (_dl_rate(cfg, xt_b, h_dl, dl.u, s_b[cfg.train_symbols:],
+                        rng.child(7).generator) if rates else np.nan)
+    del s_b
+    si_rx = apply_channel(xt_b, h_si)
+    si_res = apply_channel(xt_b, c_mats)
+    np.add(si_rx, si_res, out=si_res)
+    return (Downlink(dl.alpha, gains_b, h_dl_est, si_cov, dl_rate), x_b, si_rx,
+            si_res)
 
 
 def _adc(cfg, y, cols=slice(None)):
@@ -181,13 +219,6 @@ def _adc(cfg, y, cols=slice(None)):
         y, cfg.adc_full_scale_dbm, cfg.adc_auto_range))
 
 
-def _ul_rate(cfg, ul, y, ipn):
-    """Uplink rate of payload y through the combiner that whitens against
-    the interference-plus-noise covariance ipn."""
-    heff, s_m2 = ul
-    return _measured_rate(cfg, y, ul_combiner(heff, ipn), s_m2)
-
-
 def _dl_rate(cfg, xt, h_dl, u, s, gen):
     """Downlink rate of the frame xt whose last symbols carry s (sym, nc, d),
     received with noise from gen and combined by u."""
@@ -195,22 +226,6 @@ def _dl_rate(cfg, xt, h_dl, u, s, gen):
     y_m1 += complex_normal(gen, (cfg.n_rx_m1, xt.shape[1]), cfg.sigma_m1_w)
     n_pay = len(s) * (cfg.nc + cfg.cp_len)
     return _measured_rate(cfg, y_m1[:, -n_pay:], u, s)
-
-
-def _half_duplex(cfg, h_dl, h_dl_est, gains_b, ul, ul_pay, ipn, rng):
-    """Half-duplex rate on the same channels, each link on half the time:
-    unconstrained downlink eigenbeamforming at full stream count, and the
-    uplink payload ul_pay (noise included) without the node's transmitter,
-    combined against ipn."""
-    g_hd = rng.child(8).generator
-    a_hd = cfg.dl_streams
-    uh, _, vh = numerics.svd(h_dl_est)
-    s_hd, x_hd = _precoded_frame(cfg, g_hd, cfg.frame_symbols, vh[:, :, :a_hd])
-    xt_hd, _ = tx_chain(x_hd, gains_b)
-    del x_hd
-    dl_hd = _dl_rate(cfg, xt_hd, h_dl, uh[:, :, :a_hd], s_hd, g_hd)
-    ul_hd = _ul_rate(cfg, ul, _adc(cfg, ul_pay), ipn)
-    return 0.5 * (dl_hd + ul_hd)
 
 
 def _digital_cancel(cfg, x_b, y_train):
@@ -232,56 +247,65 @@ def _digital_cancel(cfg, x_b, y_train):
     return d_corr, d_lin, float(state.rank_used)
 
 
+def _shadow(cfg, rec, mid, d_corr, d_lin, p_before, p_mid, p_si):
+    """Fill rec's digital metrics from the SI-only payload mid corrected by
+    each fit, summed in place into d_corr and d_lin. This shadow frame mutes
+    the uplink, to isolate cancellation depth, and is kept unquantized on
+    purpose: re-quantizing it against a rail chosen for the composite signal
+    adds clip artifacts that belong to the live path, not to the canceller
+    under measurement."""
+    after = np.add(mid, d_corr, out=d_corr)
+    p_after = frame_power(after)
+    rec.digital_supp_db = _per_antenna_db(p_mid, p_after)
+    rec.total_supp_db = _per_antenna_db(p_before, p_after)
+    rec.isr_db = float(linear_to_db(np.sum(p_after) / np.sum(p_si)))
+    rec.psd_digital = compute_psd(after, cfg.nc, cfg.cp_len)
+    # linear-taps-only baseline canceller on the same training data
+    after_lin = np.add(mid, d_lin, out=d_lin)
+    rec.linear_supp_db = _per_antenna_db(p_mid, frame_power(after_lin))
+
+
+def _rates(cfg, rec, tx, ul, h_dl, y_ul, ul_pay, d_cov, rng):
+    """Fill rec's rates. The uplink combiner whitens y_ul against the sum, in
+    this order, of residual SI, uplink TX distortion, the digital correction
+    and noise. The half-duplex baseline gives each link half the time:
+    unconstrained downlink eigenbeamforming at full stream count, and the
+    uplink payload ul_pay without the node's transmitter."""
+    heff, s_m2, ul_dist = ul
+    noise_cov = cfg.sigma_b_w * np.eye(cfg.n_rx_b)
+    g_hd = rng.child(8).generator
+    a_hd = cfg.dl_streams
+    uh, _, vh = numerics.svd(tx.h_dl_est)
+    s_hd, x_hd = _precoded_frame(cfg, g_hd, cfg.frame_symbols, vh[:, :, :a_hd])
+    xt_hd, _ = tx_chain(x_hd, tx.gains)
+    del x_hd
+    dl_hd = _dl_rate(cfg, xt_hd, h_dl, uh[:, :, :a_hd], s_hd, g_hd)
+    ul_hd = _measured_rate(cfg, _adc(cfg, ul_pay),
+                           ul_combiner(heff, ul_dist + noise_cov), s_m2)
+    rec.hd_rate = 0.5 * (dl_hd + ul_hd)
+    ipn = tx.si_cov + ul_dist + d_cov + noise_cov
+    rec.ul_rate = _measured_rate(cfg, y_ul, ul_combiner(heff, ipn), s_m2)
+    rec.fd_rate = rec.dl_rate + rec.ul_rate
+
+
 def run_frame(cfg, rng, stages="full", run_id=0, sweep_point=""):
     """Simulate one coherence block and return its MetricsRecord."""
     if stages not in STAGES:
         raise ConfigError(f"stages must be one of {STAGES}")
-    nc, cp, data = cfg.nc, cfg.cp_len, cfg.data_idx
+    nc, cp = cfg.nc, cfg.cp_len
     n_train = cfg.train_symbols * (nc + cp)
     pay = slice(n_train, None)
     rates = stages == "full"
 
     (h_si, h_dl, h_ul), (est_si, est_dl, est_ul) = _channels(cfg, rng)
     c_mats = _analog_canceller(cfg, est_si, rng)
-    h_si_eff = (to_freq(est_si, nc) + to_freq(c_mats, nc))[data]
-    h_dl_est = to_freq(est_dl, nc)[data]
-
-    # The lifetime rule of the module docstring: each frame-long array below
-    # is reduced where it is made and freed there (`del`), so a frame holds
-    # few of them at once. The peak falls between the SI convolutions and
-    # the shadow PSDs, where the transmit frame and the SI frames coexist.
-
-    # --- downlink beamformer and frame: training (UL muted), then payload ---
     model = make_impairment_model(cfg.irr_db, cfg.iip3_dbm,
                                   pa_gain_db=cfg.pa_gain_db)
-    g1_b = np.sqrt(dbm_to_linear(cfg.p_b_dbm) / cfg.n_tx_b)
-    gains_b = derive_gain_matrices(model, g1_b)
-    dl = solve_dl(h_si_eff, h_dl_est, gains_b, g1_b, cfg.lambda_b_w,
-                  nc, data, cp, rng.child(3).generator,
-                  alpha_cap=cfg.dl_streams)
-    s_b, x_b = _precoded_frame(cfg, rng.child(4).generator,
-                               cfg.train_symbols + cfg.frame_symbols, dl.v)
-    xt_b, z_b = tx_chain(x_b, gains_b)
-    if rates:
-        # interference-plus-noise of the uplink combiners, summed at the end
-        # in this order: residual SI, uplink TX distortion, the digital
-        # correction (known after the ADC), then noise. The half-duplex
-        # combiner sees the uplink TX distortion and noise only.
-        si_cov = residual_si_cov(h_si_eff, g1_b * dl.v,
-                                 _data_bins(cfg, z_b[:, pay]))
-        noise_cov = cfg.sigma_b_w * np.eye(cfg.n_rx_b)
-    del z_b
     if stages != "analog":             # the analog stage reads no uplink
-        ul_rx, ul, ul_dist = _uplink(cfg, model, est_ul, h_ul, rng, rates)
-
-    si_rx = apply_channel(xt_b, h_si)
-    si_res = apply_channel(xt_b, c_mats)
-    np.add(si_rx, si_res, out=si_res)
-    dl_rate = (_dl_rate(cfg, xt_b, h_dl, dl.u, s_b[cfg.train_symbols:],
-                        rng.child(7).generator) if rates else np.nan)
-    del xt_b, s_b
-    noise_b = complex_normal(rng.child(6).generator, si_rx.shape,
-                             cfg.sigma_b_w)
+        ul_rx, ul = _uplink(cfg, model, est_ul, h_ul, rng, rates)
+    tx, x_b, si_rx, si_res = _transmit(cfg, model, h_si, h_dl, est_si,
+                                       est_dl, c_mats, rng, rates)
+    noise_b = complex_normal(rng.child(6).generator, si_rx.shape, cfg.sigma_b_w)
 
     # --- analog-stage metrics (payload window, noise-inclusive) -----------
     if stages != "analog":             # isr_db's reference, before the noise
@@ -291,14 +315,11 @@ def run_frame(cfg, rng, stages="full", run_id=0, sweep_point=""):
     p_res = frame_power(si_res[:, pay])
     mid = si_res[:, pay] + noise_b[:, pay]
     p_mid = frame_power(mid)
-    saturated = bool(np.any(check_saturation(p_res, cfg.lambda_b_w)))
-
     rec = MetricsRecord(
-        run_id=run_id, sweep_point=sweep_point,
-        p_saturation=int(saturated), alpha=dl.alpha,
+        run_id=run_id, sweep_point=sweep_point, alpha=tx.alpha,
+        p_saturation=int(np.any(check_saturation(p_res, cfg.lambda_b_w))),
         residual_si_dbm=float(np.max(linear_to_dbm(p_res))),
-        analog_supp_db=_per_antenna_db(p_before, p_mid), dl_rate=dl_rate,
-    )
+        analog_supp_db=_per_antenna_db(p_before, p_mid), dl_rate=tx.dl_rate)
     if stages == "analog":
         return rec
     rec.psd_before = compute_psd(before, nc, cp)
@@ -309,45 +330,22 @@ def run_frame(cfg, rng, stages="full", run_id=0, sweep_point=""):
     if rates:                          # the half-duplex uplink input
         ul_pay = ul_rx + noise_b[:, pay]
     # the live receive frame, summed in place: (si_res + ul_rx) + noise_b
-    y_b = si_res
-    y_b[:, pay] += ul_rx
-    y_b += noise_b
-    del si_res, ul_rx, noise_b
-
-    # --- ADC and digital cancellation --------------------------------------
+    si_res[:, pay] += ul_rx
+    si_res += noise_b
+    del ul_rx, noise_b
     # only the uplink rate reads the payload past the ADC
-    y_q = _adc(cfg, y_b, slice(None) if rates else slice(n_train))
-    del y_b
+    y_q = _adc(cfg, si_res, slice(None) if rates else slice(n_train))
+    del si_res
     d_corr, d_lin, rec.tsvd_rank = _digital_cancel(cfg, x_b, y_q[:, :n_train])
     del x_b
-    if rates:
-        d_cov = _bin_cov(_data_bins(cfg, d_corr))
-        y_ul = np.add(y_q[:, pay], d_corr, out=y_q[:, pay])
-
-    # Shadow SI-only measurement: the same frame with the uplink muted,
-    # used to isolate cancellation depth.  Kept unquantized on purpose:
-    # the live path (training, rates, saturation counts) goes through the
-    # ADC, but re-quantizing the shadow against a rail chosen for the
-    # composite signal adds clip artifacts that belong to the live path,
-    # not to the canceller under measurement.
-    after = np.add(mid, d_corr, out=d_corr)
-    p_after = frame_power(after)
-    rec.digital_supp_db = _per_antenna_db(p_mid, p_after)
-    rec.total_supp_db = _per_antenna_db(p_before, p_after)
-    rec.isr_db = float(linear_to_db(np.sum(p_after) / np.sum(p_si)))
-    rec.psd_digital = compute_psd(after, nc, cp)
-    # linear-taps-only baseline canceller on the same training data
-    after_lin = np.add(mid, d_lin, out=d_lin)
-    rec.linear_supp_db = _per_antenna_db(p_mid, frame_power(after_lin))
+    if rates:                          # before _shadow sums into d_corr
+        d_cov = bin_cov(_data_bins(cfg, d_corr))
+        np.add(y_q[:, pay], d_corr, out=y_q[:, pay])
+    _shadow(cfg, rec, mid, d_corr, d_lin, p_before, p_mid, p_si)
     if stages == "digital":
         return rec
-    del mid, after, after_lin, d_corr, d_lin
-
-    # --- uplink combiner and rate, and the half-duplex baseline -----------
-    rec.hd_rate = _half_duplex(cfg, h_dl, h_dl_est, gains_b, ul, ul_pay,
-                               ul_dist + noise_cov, rng)
-    rec.ul_rate = _ul_rate(cfg, ul, y_ul, si_cov + ul_dist + d_cov + noise_cov)
-    rec.fd_rate = rec.dl_rate + rec.ul_rate
+    del mid, d_corr, d_lin
+    _rates(cfg, rec, tx, ul, h_dl, y_q[:, pay], ul_pay, d_cov, rng)
     return rec
 
 
@@ -370,16 +368,19 @@ class ScenarioSpec:
     def __post_init__(self):
         if not isinstance(self.stages, str) or self.stages not in STAGES:
             raise ConfigError(f"stages must be one of {STAGES}")
-        for name, low in (("runs", 1), ("seed", 0)):   # SeedSequence: >= 0
-            v = getattr(self, name)
-            if not (_is_a(v, int) and v >= low):
-                raise ConfigError(f"{name} must be an integer >= {low}")
+        check_int("runs", self.runs, 1)
+        check_int("seed", self.seed, 0)           # SeedSequence: >= 0
         if not (isinstance(self.sweep, list) and self.sweep
                 and all(isinstance(p, dict) for p in self.sweep)):
             raise ConfigError("sweep must be a non-empty list of objects")
         self.points, names = [], []
         for point in self.sweep:
             label = self.point_label(point)
+            try:                               # validates overrides eagerly
+                cfg = self.config.override(
+                    **{k: v for k, v in point.items() if k != "label"})
+            except ConfigError as exc:
+                raise ConfigError(f"sweep point {label!r}: {exc}") from None
             name = _psd_file_name(label)
             if any(label == seen for seen, _ in self.points):
                 raise ConfigError(f"sweep label {label!r} is not unique")
@@ -395,11 +396,6 @@ class ScenarioSpec:
                 raise ConfigError(
                     f"sweep labels {self.points[names.index(name)][0]!r} and "
                     f"{label!r} both write {name}")
-            try:                               # validates overrides eagerly
-                cfg = self.config.override(
-                    **{k: v for k, v in point.items() if k != "label"})
-            except ConfigError as exc:
-                raise ConfigError(f"sweep point {label!r}: {exc}") from None
             # the rate fit solves d unknowns per bin from the payload and
             # estimates a d x d residual covariance from the rest
             d = max(cfg.dl_streams, cfg.ul_streams)
@@ -484,8 +480,7 @@ def _mc_task(args):
 
 def monte_carlo(spec, workers=1):
     """Run a scenario; deterministic in (seed, sweep point, run index)."""
-    if not (_is_a(workers, int) and workers >= 1):
-        raise ConfigError("workers must be an integer >= 1")
+    check_int("workers", workers, 1)
     tasks = []
     for point_idx, (label, cfg) in enumerate(spec.points):
         tasks += [(cfg, spec.seed, point_idx, run_idx, spec.stages, label)

@@ -46,3 +46,23 @@ def test_unused_import_check_sees_an_unused_name():
     tree = ast.parse("import os\nimport numpy.fft\nfrom . import numerics\n"
                      "from .waveform import full_bins as fb\nnumerics.svd\n")
     assert _unused_imports(tree) == {"os": 1, "fb": 4}
+
+
+def _private_imports(tree):
+    """Underscored names imported from a sibling module, with their lines."""
+    return {alias.name: node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names if alias.name.startswith("_")}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_imports_from_sibling_modules(path):
+    # a module's underscored names are its own: another module that needs
+    # one calls a public function of the owner instead
+    assert _private_imports(ast.parse(path.read_text())) == {}
+
+
+def test_private_import_check_sees_an_underscored_name():
+    tree = ast.parse("from . import numerics\nfrom .beamforming import "
+                     "(_bin_cov, rate_bits)\nfrom os import _exit\n")
+    assert _private_imports(tree) == {"_bin_cov": 2}
