@@ -19,8 +19,7 @@ import numpy as np
 
 from . import numerics
 from .impairments import check_saturation, tx_chain
-from .waveform import (draw_symbols, full_bins, ofdm_modulate,
-                       ofdm_demodulate)
+from .waveform import draw_symbols, ofdm_modulate, ofdm_demodulate
 
 # OFDM symbols in the probe frame that measures the TX distortion
 PROBE_SYMBOLS = 4
@@ -111,7 +110,7 @@ def solve_dl(h_si_eff_f, h_dl_f, gains_b, g1, lambda_b_w, nc, data_idx,
         # estimated residual SI at the own RX: precoded signal part plus the
         # actual TX distortion of a probe frame run through the chain
         s = draw_symbols(probe_gen, PROBE_SYMBOLS, nc, data_idx, alpha)
-        x = ofdm_modulate(s, full_bins(nc, data_idx, v), cp_len)
+        x = ofdm_modulate(s, v, cp_len, data_idx)
         _, z = tx_chain(x, gains_b)
         zf = ofdm_demodulate(z, nc, cp_len)[:, data_idx, :].transpose(1, 2, 0)
         cov = residual_si_cov(h_si_eff_f, g1 * v, zf)

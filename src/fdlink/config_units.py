@@ -79,13 +79,25 @@ class Rng:
         return f"Rng(seed={self.seed}, path={self.path})"
 
 
+# standard normals per draw of complex_normal
+DRAW_CHUNK = 1 << 14
+
+
 def complex_normal(gen, shape, var=1.0):
-    """Circularly symmetric complex Gaussian, CN(0, var), iid entries."""
+    """Circularly symmetric complex Gaussian, CN(0, var), iid entries.
+
+    Every real part is drawn, in row order, before every imaginary part.
+    The draws pass through a buffer of at most DRAW_CHUNK values: drawn in
+    pieces, a generator gives the values of one draw of the same length.
+    """
     scale = np.sqrt(var / 2.0)
     out = np.empty(shape, dtype=complex)
-    draw = gen.standard_normal(shape)
-    np.multiply(scale, draw, out=out.real)
-    np.multiply(scale, gen.standard_normal(out=draw), out=out.imag)
+    flat = out.reshape(-1)
+    buf = np.empty(min(flat.size, DRAW_CHUNK))
+    for part in (flat.real, flat.imag):
+        for i in range(0, flat.size, DRAW_CHUNK):
+            draw = gen.standard_normal(out=buf[:flat.size - i])
+            np.multiply(scale, draw, out=part[i:i + len(draw)])
     return out
 
 
@@ -180,7 +192,9 @@ class SystemConfig:
                 name = getattr(f.type, "__name__", f.type)
                 if any(_is_a(v, k, finite=False) for k in kinds):
                     name = "finite as a float"
-                raise ConfigError(f"{f.name} must be {name}, got {v!r}")
+                got = repr(v)          # an int may have hundreds of digits
+                got = got if len(got) <= 40 else got[:40] + "..."
+                raise ConfigError(f"{f.name} must be {name}, got {got}")
         self._validate()
 
     # -- derived quantities ------------------------------------------------

@@ -21,6 +21,10 @@ from .channel import apply_channel
 from .impairments import build_augmented_vector
 from .waveform import frame_power
 
+# the block of u that conjugates each block of build_augmented_vector's
+# (x, x*, x^3, x^2 x*, x x*^2, x*^3)
+_MIRROR_BLOCKS = (1, 0, 5, 4, 3, 2)
+
 
 @dataclass
 class DigitalCancellerState:
@@ -62,18 +66,32 @@ def normal_equations(u, y, l_si):
     shorter inner length differently, so the recorded output bytes
     (tests/golden.py) would move. The other blocks follow from
     G[l, m] = G[l-1, m-1] - u[:, T-l] u[:, T-m]^H.
+
+    Half of u conjugates the other half (x* is conj(x), x x*^2 is
+    conj(x^2 x*), x*^3 is conj(x^3)), and a product of conjugated operands
+    rounds to the conjugate of the product. So block row 0 takes only the
+    rows of x*, x^3 and x^2 x*, which are contiguous, and its other rows are
+    the conjugates of their mirror rows with the columns mirrored alike.
     """
     y = np.atleast_2d(np.asarray(y))
     nb, t = u.shape
     if y.shape[1] != t:
         raise ValueError("basis stream and observations disagree in length")
+    if nb % 6:
+        raise ValueError("basis stream is not a six-block monomial stack")
+    n = nb // 6
+    blocks = np.arange(nb).reshape(6, n)
+    mirror = blocks[list(_MIRROR_BLOCKS)].ravel()  # row i conjugates mirror[i]
+    own = np.r_[0:n, 4 * n:nb]             # rows taken as conjugates
     pad_c = np.zeros((nb, l_si - 1 + t), dtype=complex)    # conj(u), delayed
     np.conjugate(u, out=pad_c[:, l_si - 1:])
     g = np.empty((l_si, nb, l_si, nb), dtype=complex)
     c = np.empty((y.shape[0], l_si, nb), dtype=complex)
     for m in range(l_si):                  # u delayed by m, zeros before it
         sh = pad_c[:, l_si - 1 - m:][:, :t].T
-        g[0, :, m], c[:, m] = u @ sh, y @ sh
+        g0 = g[0, :, m]
+        g0[n:4 * n], c[:, m] = u[n:4 * n] @ sh, y @ sh
+        g0[own] = g0[mirror[own]][:, mirror].conj()
     rev = pad_c[:, :-l_si:-1].conj()   # rev[:, l - 1] = u[:, T - l], 0 if l > T
     for l in range(1, l_si):
         g[l:, :, l - 1] = g[l - 1, :, l:].transpose(1, 2, 0).conj()

@@ -18,6 +18,9 @@ import numpy as np
 
 from .config_units import dbm_to_linear, db_to_linear
 
+# frame columns per block of tx_chain; a block's buffers stay in cache
+TX_BLOCK = 8192
+
 
 @dataclass(frozen=True)
 class TxImpairmentModel:
@@ -138,22 +141,26 @@ def tx_chain(x, gains):
     """
     m = gains.model
     x = np.asarray(x)
+    x_tilde = np.empty(x.shape, dtype=complex)
+    z = np.empty(x.shape, dtype=complex)
     # x_tilde = nu1 w + nu3 |w|^2 w for w = mu1 u + mu2 u*, u = drive x,
-    # each product in the operand order of that formula, written into two
-    # complex buffers and one float buffer
-    u = np.multiply(gains.drive, x)
-    w = np.conjugate(u)
-    np.multiply(m.mu2, w, out=w)
-    np.multiply(m.mu1, u, out=u)
-    np.add(u, w, out=w)
-    a = np.abs(w)
-    np.square(a, out=a)
-    np.multiply(m.nu3, a, out=a)
-    cubic = np.multiply(a, w, out=u)
-    np.multiply(m.nu1, w, out=w)
-    x_tilde = np.add(w, cubic, out=w)
-    z = np.multiply(gains.g1, x, out=cubic)
-    np.subtract(x_tilde, z, out=z)
+    # each product in the operand order of that formula, TX_BLOCK columns at
+    # a time through two complex block buffers and one float block buffer
+    for k0 in range(0, x.shape[-1], TX_BLOCK):
+        cols = (..., slice(k0, k0 + TX_BLOCK))
+        u = np.multiply(gains.drive, x[cols])
+        w = np.conjugate(u)
+        np.multiply(m.mu2, w, out=w)
+        np.multiply(m.mu1, u, out=u)
+        np.add(u, w, out=w)
+        a = np.abs(w)
+        np.square(a, out=a)
+        np.multiply(m.nu3, a, out=a)
+        cubic = np.multiply(a, w, out=u)
+        xt = np.multiply(m.nu1, w, out=x_tilde[cols])
+        np.add(xt, cubic, out=xt)
+        zb = np.multiply(gains.g1, x[cols], out=z[cols])
+        np.subtract(xt, zb, out=zb)
     return x_tilde, z
 
 

@@ -13,10 +13,13 @@ Lifetime rule: a frame-long array is made, reduced to what later stages read
 of it (a covariance, a power, a PSD, a rate, or a sum taken in place into
 another frame array) and freed in one stage. The uplink is muted over the
 training window, so it is built as payload only, and a `digital` frame
-quantizes only the training window. The peak falls at the analog metrics and
-their PSDs, where the transmit, SI, noise and shadow frames coexist, or in a
-`full` frame after the digital fit. Each stage has its own stream and every
-sum keeps its operand order, so the order of the work changes no number.
+quantizes only the training window. The SI frame is reduced to its power and
+PSD and freed before the residual-plus-noise frame is made. An `analog` frame
+peaks in the SI convolutions, a `digital` frame at the PSD of the SI frame
+plus noise (where the transmit, SI, residual SI, noise and uplink frames
+coexist) or in the digital fit's normal equations, and a `full` frame after
+the digital fit. Each stage has its own stream and every sum keeps its
+operand order, so the order of the work changes no number.
 """
 
 import csv
@@ -31,8 +34,8 @@ from . import numerics
 from .config_units import (Rng, SystemConfig, ConfigError, check_int,
                            complex_normal, dbm_to_linear, linear_to_db,
                            linear_to_dbm, preset)
-from .waveform import (draw_symbols, frame_power, full_bins, ofdm_modulate,
-                       ofdm_demodulate)
+from .waveform import (draw_symbols, frame_power, ofdm_modulate,
+                       ofdm_demodulate, row_blocks)
 from .impairments import (adc_full_scale, adc_quantize,
                           build_augmented_vector, check_saturation,
                           derive_gain_matrices, make_impairment_model,
@@ -85,9 +88,31 @@ def compute_psd(frames, nc, cp_len):
     averaged over symbols and antennas then divided by nc, so white noise of
     power sigma^2 reads sigma^2/nc per bin and the bin sum equals the
     time-domain power.
+
+    The frame is taken a block of antennas at a time. Each block's |Y|^2
+    fills the rows after row 0 of one buffer, and row 0 carries the running
+    sum, so a reduction down the buffer adds the terms in the order, antenna
+    then symbol, and so to the bits, of one mean over the whole frame. The
+    result outlives the frame in its record, so it is allocated before the
+    buffers: made after them, it can land where a later frame's arrays
+    would, and the kept heap (numerics.keep_heap) grows around it.
     """
-    yf = ofdm_demodulate(frames, nc, cp_len)
-    return np.mean(np.abs(yf) ** 2, axis=(0, 2)) / nc
+    frames = np.atleast_2d(np.asarray(frames))
+    out = np.empty(nc)
+    blocks = row_blocks(frames)
+    n_sym = frames.shape[1] // (nc + cp_len)
+    buf = np.zeros((1 + (blocks[0].stop - blocks[0].start) * n_sym, nc))
+    for rows in blocks:
+        # back to the (antenna, symbol, bin) layout the DFT wrote
+        yf = ofdm_demodulate(frames[rows], nc, cp_len).transpose(2, 0, 1)
+        end = 1 + yf.shape[0] * n_sym
+        p = buf[1:end].reshape(yf.shape)
+        np.abs(yf, out=p)
+        del yf                         # before the next block's DFT
+        np.square(p, out=p)
+        buf[0] = np.add.reduce(buf[:end], axis=0)
+    np.divide(buf[0], len(frames) * n_sym, out=out)
+    return np.divide(out, nc, out=out)
 
 
 def _per_antenna_db(p_num, p_den):
@@ -147,9 +172,8 @@ def _analog_canceller(cfg, est_si, rng):
 def _precoded_frame(cfg, gen, n_symbols, v):
     """n_symbols OFDM symbols of v.shape[2] streams drawn from gen, precoded
     by the data-bin precoder v and modulated; returns (symbols, frame)."""
-    nc, data = cfg.nc, cfg.data_idx
-    s = draw_symbols(gen, n_symbols, nc, data, v.shape[2])
-    return s, ofdm_modulate(s, full_bins(nc, data, v), cfg.cp_len)
+    s = draw_symbols(gen, n_symbols, cfg.nc, cfg.data_idx, v.shape[2])
+    return s, ofdm_modulate(s, v, cfg.cp_len, cfg.data_idx)
 
 
 def _uplink(cfg, model, est_ul, h_ul, rng, rates):
@@ -312,6 +336,8 @@ def run_frame(cfg, rng, stages="full", run_id=0, sweep_point=""):
         p_si = frame_power(si_rx[:, pay])
     before = np.add(si_rx[:, pay], noise_b[:, pay], out=si_rx[:, pay])
     p_before = frame_power(before)
+    psd_before = None if stages == "analog" else compute_psd(before, nc, cp)
+    del si_rx, before                  # before mid is made
     p_res = frame_power(si_res[:, pay])
     mid = si_res[:, pay] + noise_b[:, pay]
     p_mid = frame_power(mid)
@@ -319,11 +345,10 @@ def run_frame(cfg, rng, stages="full", run_id=0, sweep_point=""):
         run_id=run_id, sweep_point=sweep_point, alpha=tx.alpha,
         p_saturation=int(np.any(check_saturation(p_res, cfg.lambda_b_w))),
         residual_si_dbm=float(np.max(linear_to_dbm(p_res))),
-        analog_supp_db=_per_antenna_db(p_before, p_mid), dl_rate=tx.dl_rate)
+        analog_supp_db=_per_antenna_db(p_before, p_mid), dl_rate=tx.dl_rate,
+        psd_before=psd_before)
     if stages == "analog":
         return rec
-    rec.psd_before = compute_psd(before, nc, cp)
-    del si_rx, before
     rec.psd_analog = compute_psd(mid, nc, cp)
     rec.psd_noise = compute_psd(noise_b[:, pay], nc, cp)
 
@@ -351,6 +376,11 @@ def run_frame(cfg, rng, stages="full", run_id=0, sweep_point=""):
 
 # ---------------------------------------------------------------------------
 # scenarios and Monte Carlo orchestration
+
+def _clip(label):
+    """A label for an error message: its repr, cut after 20 characters."""
+    return repr(label) if len(label) <= 20 else f"{label[:20]!r}..."
+
 
 @dataclass
 class ScenarioSpec:
@@ -380,7 +410,7 @@ class ScenarioSpec:
                 cfg = self.config.override(
                     **{k: v for k, v in point.items() if k != "label"})
             except ConfigError as exc:
-                raise ConfigError(f"sweep point {label!r}: {exc}") from None
+                raise ConfigError(f"sweep point {_clip(label)}: {exc}") from None
             name = _psd_file_name(label)
             if any(label == seen for seen, _ in self.points):
                 raise ConfigError(f"sweep label {label!r} is not unique")
@@ -390,7 +420,7 @@ class ScenarioSpec:
                 raise ConfigError(f"sweep label {label!r} holds a path "
                                   "separator or a NUL")
             if len(name.encode()) > 255:       # NAME_MAX of common filesystems
-                raise ConfigError(f"sweep label {label[:20]!r}... is too long "
+                raise ConfigError(f"sweep label {_clip(label)} is too long "
                                   "for a file name")
             if name in names:
                 raise ConfigError(

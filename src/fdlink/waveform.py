@@ -3,6 +3,8 @@
 Frames are (n_antennas, n_samples) complex arrays at baseband. Subcarrier
 symbol blocks are (n_symbols, nc, d) with exact zeros on the null bins.
 The DFTs are unitary, so per-subcarrier and time-domain powers agree.
+Reductions over a frame take it a few rows at a time (row_blocks), so a
+long frame needs no frame-sized temporaries.
 """
 
 import numpy as np
@@ -11,6 +13,10 @@ from . import numerics
 
 # unit-average-power 16-QAM levels per rail
 _QAM16_LEVELS = np.array([-3.0, -1.0, 1.0, 3.0]) / np.sqrt(10.0)
+
+# samples per pass of a row-blocked reduction: a wifi20 frame is one block,
+# an lte20 or nr100 frame one antenna per block
+ROW_BLOCK = 1 << 15
 
 
 def map_qam16(gen, shape):
@@ -27,30 +33,40 @@ def draw_symbols(gen, n_symbols, nc, data_idx, d):
     return s
 
 
-def full_bins(nc, data_idx, per_bin):
-    """Scatter per-data-bin values (nd, ...) into all nc bins, zero elsewhere."""
-    out = np.zeros((nc,) + per_bin.shape[1:], dtype=complex)
-    out[data_idx] = per_bin
-    return out
-
-
-def ofdm_modulate(s, v, cp_len):
+def ofdm_modulate(s, v, cp_len, data_idx=None):
     """Precode, inverse-DFT and prepend cyclic prefixes.
 
     :param s: (n_symbols, nc, d) subcarrier symbols
-    :param v: (nc, n_tx, d) per-subcarrier precoders
+    :param v: (nc, n_tx, d) per-subcarrier precoders, or with data_idx
+        (len(data_idx), n_tx, d) precoders of the data bins data_idx; the
+        other bins carry nothing
     :param cp_len: cyclic prefix length in samples
     :returns: (n_tx, n_symbols * (nc + cp_len)) time frame
     """
     s = np.asarray(s)
-    v = np.asarray(v)
-    if s.ndim != 3 or v.ndim != 3 or s.shape[1] != v.shape[0] or s.shape[2] != v.shape[2]:
+    # a contiguous precoder keeps each bin's product on the BLAS path
+    v = np.ascontiguousarray(v)
+    if (s.ndim != 3 or v.ndim != 3 or s.shape[2] != v.shape[2] or len(v)
+            != (s.shape[1] if data_idx is None else len(data_idx))):
         raise ValueError("symbol block and precoder shapes do not agree")
-    xf = (v @ s.transpose(1, 2, 0)).transpose(1, 2, 0)   # (n_tx, n_sym, nc)
-    xt = numerics.ifft(np.ascontiguousarray(xf))
-    if cp_len:
-        xt = np.concatenate([xt[..., -cp_len:], xt], axis=-1)
-    return xt.reshape(xt.shape[0], -1)
+    n_sym, nc, _ = s.shape
+    n_tx = v.shape[1]
+    bins = np.arange(nc) if data_idx is None else np.asarray(data_idx)
+    xf = np.zeros((n_tx, n_sym, nc), dtype=complex)
+    # each run of consecutive bins is precoded through views of s and xf
+    cuts = (np.flatnonzero(np.diff(bins) != 1) + 1).tolist()
+    for i, j in zip([0] + cuts, cuts + [len(bins)]):
+        run = slice(bins[i], bins[j - 1] + 1)
+        xf[:, :, run] = (v[i:j] @ s[:, run].transpose(1, 2, 0)).transpose(
+            1, 2, 0)
+    xt = numerics.ifft(xf)                 # (n_tx, n_sym, nc)
+    del xf
+    if not cp_len:
+        return xt.reshape(n_tx, -1)
+    frame = np.empty((n_tx, n_sym, nc + cp_len), dtype=complex)
+    frame[:, :, cp_len:] = xt
+    frame[:, :, :cp_len] = xt[:, :, nc - cp_len:]
+    return frame.reshape(n_tx, -1)
 
 
 def ofdm_demodulate(y, nc, cp_len):
@@ -69,7 +85,24 @@ def ofdm_demodulate(y, nc, cp_len):
     return yf.transpose(1, 2, 0)
 
 
+def row_blocks(y):
+    """Slices of y's rows, in order, of at most ROW_BLOCK samples each; a
+    row longer than that is a block of its own."""
+    n_rows, n_cols = y.shape
+    step = max(1, ROW_BLOCK // max(n_cols, 1))
+    return [slice(r, min(r + step, n_rows)) for r in range(0, n_rows, step)]
+
+
 def frame_power(y):
-    """Time-averaged power per antenna, watts: (n_rx,)."""
+    """Time-averaged power per antenna, watts: (n_rx,).
+
+    Each row's mean is taken on its own, as a mean over the whole array
+    along axis 1 takes it, so the blocks change no bit.
+    """
     y = np.atleast_2d(np.asarray(y))
-    return np.mean(np.abs(y) ** 2, axis=1)
+    out = np.empty(len(y))
+    for rows in row_blocks(y):
+        p = np.abs(y[rows])
+        np.square(p, out=p)
+        out[rows] = np.mean(p, axis=1)
+    return out

@@ -10,8 +10,7 @@ from fdlink.beamforming import (PROBE_SYMBOLS, DlSolution, rate_bits,
 from fdlink.config_units import Rng, SystemConfig, complex_normal, dbm_to_linear
 from fdlink.impairments import (check_saturation, derive_gain_matrices,
                                 make_impairment_model, tx_chain)
-from fdlink.waveform import (draw_symbols, full_bins, ofdm_demodulate,
-                             ofdm_modulate)
+from fdlink.waveform import draw_symbols, ofdm_demodulate, ofdm_modulate
 
 CFG = SystemConfig()
 NC = CFG.nc
@@ -20,6 +19,14 @@ CP = CFG.cp_len
 
 
 G1 = np.sqrt(dbm_to_linear(30.0) / 4)   # per-antenna amplitude at 30 dBm
+
+
+def full_bins(nc, data_idx, per_bin):
+    """Scatter per-data-bin values (nd, ...) into all nc bins, zero elsewhere:
+    the full-bin precoder the every-try search modulates with."""
+    out = np.zeros((nc,) + per_bin.shape[1:], dtype=complex)
+    out[data_idx] = per_bin
+    return out
 
 
 def _gains():
@@ -73,11 +80,13 @@ def test_dl_precoder_columns_orthonormal_and_null_bins_zero():
     v = sol.v
     eye = np.broadcast_to(np.eye(sol.alpha), (len(DATA), sol.alpha, sol.alpha))
     assert np.allclose(np.swapaxes(v.conj(), 1, 2) @ v, eye, atol=1e-12)
-    # the solution holds the data bins only; the precoder reaches the null
-    # bins through full_bins, as zeros
+    # the solution holds the data bins only; a frame it precodes carries
+    # nothing on the null bins
     assert sol.u.shape == (len(DATA), 2, sol.alpha)
+    s = draw_symbols(gen, 3, NC, DATA, sol.alpha)
+    yf = ofdm_demodulate(ofdm_modulate(s, v, CP, DATA), NC, CP)
     null = np.setdiff1d(np.arange(NC), DATA)
-    assert np.all(full_bins(NC, DATA, v)[null] == 0)
+    assert np.max(np.abs(yf[:, null])) <= 1e-12 * np.max(np.abs(yf))
 
 
 def test_dl_single_stream_rides_weakest_singular_vector():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from fdlink.analog_canceller import build_canceller
 from fdlink.channel import gen_rician_si
-from fdlink.config_units import (ConfigError, Rng, SystemConfig,
+from fdlink.config_units import (DRAW_CHUNK, ConfigError, Rng, SystemConfig,
                                  complex_normal, db_to_linear, dbm_to_linear,
                                  linear_to_db, linear_to_dbm, preset)
 
@@ -61,15 +61,24 @@ def test_complex_normal_variance_and_circularity():
     assert abs(np.mean(x * x)) < 0.05
 
 
+# the draws pass through a DRAW_CHUNK buffer: sizes on both sides of a
+# chunk edge keep the values, and the generator's next draw, of the
+# whole-array expression
 @pytest.mark.parametrize("shape,var", [(7, 1.0), ((3, 5), 1.0),
-                                       ((4, 144672), 2.5e-13)])
+                                       ((4, 144672), 2.5e-13),
+                                       (DRAW_CHUNK - 1, 0.3), (DRAW_CHUNK, 0.3),
+                                       (DRAW_CHUNK + 1, 0.3),
+                                       ((3, DRAW_CHUNK // 2 + 1), 0.3),
+                                       ((2, 0), 1.0)])
 def test_complex_normal_bytes_equal_expression_oracle(shape, var):
-    got = complex_normal(np.random.default_rng(5), shape, var)
+    gen_got = np.random.default_rng(5)
+    got = complex_normal(gen_got, shape, var)
     gen = np.random.default_rng(5)
     a = gen.standard_normal(shape)
     b = gen.standard_normal(shape)
     want = np.sqrt(var / 2.0) * (a + 1j * b)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert gen_got.standard_normal() == gen.standard_normal()
 
 
 # --- system configuration --------------------------------------------------

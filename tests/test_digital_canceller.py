@@ -4,6 +4,7 @@ truncated-SVD fit."""
 import numpy as np
 import pytest
 
+from fdlink import numerics
 from fdlink.channel import BLOCK, apply_channel
 from fdlink.config_units import Rng, complex_normal
 from fdlink.digital_canceller import (DigitalCancellerState,
@@ -124,6 +125,57 @@ def test_normal_equations_equal_dense_products():
         assert np.max(np.abs(g - g_want)) <= 1e-12 * np.abs(g_want).max()
         assert np.max(np.abs(c - c_want)) <= 1e-12 * np.abs(c_want).max()
     assert short > 0
+
+
+def _normal_equations_all_rows(u, y, l_si):
+    """normal_equations with every row of block row 0 taken by the product,
+    as it was before the conjugate rows were mirrored: the byte oracle."""
+    nb, t = u.shape
+    pad_c = np.zeros((nb, l_si - 1 + t), dtype=complex)
+    np.conjugate(u, out=pad_c[:, l_si - 1:])
+    g = np.empty((l_si, nb, l_si, nb), dtype=complex)
+    c = np.empty((y.shape[0], l_si, nb), dtype=complex)
+    for m in range(l_si):
+        sh = pad_c[:, l_si - 1 - m:][:, :t].T
+        g[0, :, m], c[:, m] = u @ sh, y @ sh
+    rev = pad_c[:, :-l_si:-1].conj()
+    for l in range(1, l_si):
+        g[l:, :, l - 1] = g[l - 1, :, l:].transpose(1, 2, 0).conj()
+        g[l, :, l:] = g[l - 1, :, l - 1:-1] - (
+            rev[:, l - 1, None, None] * rev[:, l - 1:l_si - 1].conj().T)
+    return g.reshape(l_si * nb, -1), c.reshape(-1, l_si * nb)
+
+
+def _mirror(n_tx):
+    """Index of the conjugate of each row of a six-block monomial stack."""
+    return (np.array([1, 0, 5, 4, 3, 2])[:, None] * n_tx
+            + np.arange(n_tx)).ravel()
+
+
+@pytest.mark.parametrize("n_tx", [1, 2, 3, 4])
+def test_normal_equations_equal_all_rows_products(n_tx):
+    # frames run at one BLAS thread; there the mirrored rows keep the
+    # all-rows product's values for an even transmitter count, as at every
+    # preset (four). For an odd count OpenBLAS rounds the columns of its last
+    # partial column tile unlike the others, so the all-rows product is not
+    # exactly conjugate-symmetric there and the two differ in the last bits.
+    gen = Rng(30 + n_tx).generator
+    with numerics.blas_threads(1):
+        for l_si, t, n_rx in [(1, 40, 2), (5, 3, 1), (6, 301, 4),
+                              (19, 2 * BLOCK + 5, 4)]:
+            u = build_augmented_vector(_frame(gen, n_tx=n_tx, t=t))
+            y = complex_normal(gen, (n_rx, t))
+            g, c = normal_equations(u, y, l_si)
+            g_want, c_want = _normal_equations_all_rows(u, y, l_si)
+            assert np.array_equal(c, c_want)
+            # block row 0 is conjugate-symmetric under the mirror by design
+            idx = _mirror(n_tx)
+            g0 = g[:6 * n_tx].reshape(6 * n_tx, l_si, 6 * n_tx)
+            assert np.array_equal(g0, g0[idx][:, :, idx].conj())
+            if n_tx % 2 == 0:
+                assert np.array_equal(g, g_want)
+            else:
+                assert np.max(np.abs(g - g_want)) <= 1e-15 * np.abs(g_want).max()
 
 
 # --- TSVD fit ----------------------------------------------------------------

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fdlink.config_units import dbm_to_linear, linear_to_db
-from fdlink.impairments import (adc_full_scale, adc_quantize,
+from fdlink.impairments import (TX_BLOCK, adc_full_scale, adc_quantize,
                                 build_augmented_vector, check_saturation,
                                 derive_gain_matrices, make_impairment_model,
                                 tx_chain)
@@ -134,8 +134,11 @@ def _tx_chain_oracle(x, gains):
 
 
 # 4 x 320 samples (20 KB) stays under numpy's 256 KiB temporary-elision
-# threshold, 4 x 144672 (an lte20 frame) goes over it
-@pytest.mark.parametrize("n_samp", [320, 144672])
+# threshold, 4 x 144672 (an lte20 frame) goes over it; the chain runs
+# TX_BLOCK columns at a time, so the lengths around a block edge and a
+# strided slice of the frame are checked too
+@pytest.mark.parametrize("n_samp", [320, 144672, TX_BLOCK, TX_BLOCK + 1,
+                                    2 * TX_BLOCK + 7])
 @pytest.mark.parametrize("irr_db", [30.0, None])
 def test_tx_chain_bytes_equal_expression_oracle(n_samp, irr_db):
     gen = np.random.default_rng(n_samp)
@@ -144,10 +147,11 @@ def test_tx_chain_bytes_equal_expression_oracle(n_samp, irr_db):
     x = 0.01 * (gen.standard_normal((4, n_samp))
                 + 1j * gen.standard_normal((4, n_samp)))
     x[:, :n_samp // 4] = 0.0           # a muted training window, as uplink
-    got = tx_chain(x, gains)
-    want = _tx_chain_oracle(x, gains)
-    for g, w in zip(got, want):
-        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    for frame in (x, x[:, 1:]):
+        got = tx_chain(frame, gains)
+        want = _tx_chain_oracle(frame, gains)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 def test_gain_block_matrix_layout():

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from fdlink.config_units import SystemConfig
-from fdlink.waveform import (draw_symbols, frame_power, map_qam16,
+from fdlink.config_units import SystemConfig, complex_normal, preset
+from fdlink.waveform import (ROW_BLOCK, draw_symbols, frame_power, map_qam16,
                              ofdm_demodulate, ofdm_modulate)
 
 
@@ -97,6 +97,29 @@ def test_modulate_equals_einsum_oracle(cp_len):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).max()
 
 
+def _full_bins(nc, data_idx, per_bin):
+    """Scatter per-data-bin values into all nc bins, zero elsewhere."""
+    out = np.zeros((nc,) + per_bin.shape[1:], dtype=complex)
+    out[data_idx] = per_bin
+    return out
+
+
+@pytest.mark.parametrize("name", ["wifi20", "lte20"])
+@pytest.mark.parametrize("cp_len", [0, None])
+def test_modulate_data_bins_equal_full_bin_precoder(name, cp_len):
+    # the data-bin path precodes only the data bins; its frame has the bytes
+    # of the full-bin precoder with zeros on the null bins
+    cfg = preset(name)
+    cp_len = cfg.cp_len if cp_len is None else cp_len
+    gen = np.random.default_rng(3)
+    v = complex_normal(gen, (len(cfg.data_idx), 4, 3))[:, :, ::-1]
+    s = draw_symbols(gen, 3, cfg.nc, cfg.data_idx, 3)
+    got = ofdm_modulate(s, v, cp_len, cfg.data_idx)
+    want = ofdm_modulate(s, _full_bins(cfg.nc, cfg.data_idx, v), cp_len)
+    assert got.shape == want.shape == (4, 3 * (cfg.nc + cp_len))
+    assert np.array_equal(got, want)
+
+
 def test_modulate_shape_mismatch_raises():
     s = np.zeros((2, 16, 2), dtype=complex)
     v = np.zeros((16, 4, 3), dtype=complex)
@@ -109,6 +132,24 @@ def test_demodulate_bad_length_raises():
         ofdm_demodulate(np.zeros((2, 81), dtype=complex), 64, 16)
     with pytest.raises(ValueError):
         ofdm_demodulate(np.zeros((2, 0), dtype=complex), 64, 16)
+
+
+def _frame_power_oracle(y):
+    """frame_power as one mean over the whole array."""
+    return np.mean(np.abs(y) ** 2, axis=1)
+
+
+@pytest.mark.parametrize("name", ["wifi20", "lte20"])
+def test_frame_power_row_blocks_equal_one_mean(name):
+    # a wifi20 frame is one row block, an lte20 frame one row per block;
+    # each row's mean keeps its bits, also on a payload slice of the frame
+    cfg = preset(name)
+    sym = cfg.nc + cfg.cp_len
+    y = complex_normal(np.random.default_rng(4),
+                       (4, (cfg.train_symbols + cfg.frame_symbols) * sym))
+    assert (y.size <= ROW_BLOCK) == (name == "wifi20")
+    for frame in (y, y[:, cfg.train_symbols * sym:], y[:3, 5:]):
+        assert np.array_equal(frame_power(frame), _frame_power_oracle(frame))
 
 
 def test_frame_power():
