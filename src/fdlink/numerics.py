@@ -5,9 +5,9 @@ eigenvalues come back descending, and eigenpairs of general matrices come
 back sorted by magnitude.
 LAPACK failures surface as NumericalError instead of half-filled arrays.
 
-blas_threads caps the OpenBLAS that numpy loaded while a block runs. A pool
-forked inside it starts at one BLAS thread per worker, so the workers never
-build a BLAS thread pool of their own. keep_heap makes glibc's malloc keep
+blas_threads caps the OpenBLAS that numpy loaded while a block runs. A
+worker forked inside it starts at one BLAS thread, so no worker builds a
+BLAS thread pool of its own. keep_heap makes glibc's malloc keep
 freed frame arrays in the heap, so the next frame reuses them.
 """
 
@@ -160,8 +160,8 @@ def keep_heap():
 
     Process-wide and one-way: glibc has no getter for these values, and
     setting its defaults back leaves the dynamic threshold off. Call it only
-    in processes fdlink owns (the CLI and its pool workers); calling it again
-    changes nothing. Returns True when glibc accepted both values, False
+    in processes fdlink owns (the CLI and its campaign workers); calling it
+    again changes nothing. Returns True when glibc accepted both values, False
     where there is no mallopt (macOS, musl), which changes nothing.
     """
     try:

@@ -1,5 +1,6 @@
 """Conventions of the linear-algebra wrappers: ordering, shapes, failures,
-the BLAS thread cap that pool workers fork under, and the heap they keep."""
+the BLAS thread cap that campaign workers fork under, and the heap they
+keep."""
 
 import ctypes
 import multiprocessing

@@ -4,12 +4,14 @@ import ast
 import importlib
 import json
 import multiprocessing
+import multiprocessing.connection
 import os
+import pickle
 import platform
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -542,6 +544,122 @@ def test_pool_workers_start_with_numpy_lazy_modules_loaded():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[True, True]] * 4
+
+
+_DYING_WORKER = """
+import json
+import multiprocessing
+import os
+import signal
+from dataclasses import asdict
+import numpy as np
+from fdlink import simulator
+from fdlink.config_units import SystemConfig
+from fdlink.simulator import ScenarioSpec, monte_carlo
+
+PARENT = os.getpid()
+real_run_frame = simulator.run_frame
+
+def killed_on_run_1(cfg, rng, stages="full", run_id=0, sweep_point=""):
+    # as the kernel's OOM killer would kill a worker; never this process
+    if run_id == 1 and os.getpid() != PARENT:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real_run_frame(cfg, rng, stages=stages, run_id=run_id,
+                          sweep_point=sweep_point)
+
+alive = []
+real_start = multiprocessing.context.ForkProcess.start
+
+def start(self):
+    real_start(self)
+    alive.append(len(multiprocessing.active_children()))
+
+multiprocessing.context.ForkProcess.start = start
+cfg = SystemConfig().override(frame_symbols=12, train_symbols=4)
+spec = ScenarioSpec(name="t", config=cfg, runs=6, stages="analog")
+clean = monte_carlo(spec, workers=1)
+simulator.run_frame = killed_on_run_1
+result = monte_carlo(spec, workers=2)
+# NaN metrics compare equal, PSD arrays element by element
+np.testing.assert_equal(
+    [asdict(r) for r in result.records],
+    [asdict(r) for r in clean.records if r.run_id != 1])
+print(json.dumps({"failures": result.failures, "started": len(alive),
+                  "most_alive": max(alive),
+                  "left": len(multiprocessing.active_children())}))
+"""
+
+
+def test_monte_carlo_records_a_worker_that_dies():
+    # a worker killed mid-run used to hang the campaign for good, so the
+    # campaign runs in a child process under a timeout
+    proc = subprocess.run([sys.executable, "-c", _DYING_WORKER],
+                          capture_output=True, text=True, env=_child_env(),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["failures"] == [["base", 1, "WorkerDied: signal 9"]]
+    assert got["started"] == 3          # the two workers and one replacement
+    assert got["most_alive"] == 2
+    assert got["left"] == 0
+
+
+class _ParentStops(Exception):
+    pass
+
+
+@pytest.mark.parametrize("fault", [None, "run raises"])
+def test_no_worker_outlives_a_campaign(monkeypatch, fault):
+    real_run_frame = simulator.run_frame
+
+    def flaky(cfg, rng, stages="full", run_id=0, sweep_point=""):
+        if run_id == 1:
+            raise ValueError("synthetic bug")
+        return real_run_frame(cfg, rng, stages=stages, run_id=run_id,
+                              sweep_point=sweep_point)
+    if fault:
+        monkeypatch.setattr(simulator, "run_frame", flaky)
+    spec = ScenarioSpec(name="t", config=_small_cfg(), runs=4,
+                        stages="analog")
+    result = monte_carlo(spec, workers=2)
+    assert len(result.failures) == (fault is not None)
+    assert multiprocessing.active_children() == []
+
+
+def test_no_worker_outlives_a_campaign_whose_parent_raises(monkeypatch):
+    real_wait = multiprocessing.connection.wait
+    alive = []
+
+    def wait(conns, timeout=None):     # raises after the first result
+        alive.append(len(multiprocessing.active_children()))
+        if len(alive) > 1:
+            raise _ParentStops
+        return real_wait(conns, timeout)
+    monkeypatch.setattr(multiprocessing.connection, "wait", wait)
+    spec = ScenarioSpec(name="t", config=_small_cfg(), runs=4,
+                        stages="analog")
+    with pytest.raises(_ParentStops):
+        monte_carlo(spec, workers=2)
+    assert alive == [2, 2]
+    assert multiprocessing.active_children() == []
+
+
+def test_pooled_runs_travel_as_run_indices(monkeypatch):
+    # the workers inherit the tasks, so no SystemConfig is pickled to them
+    spec = ScenarioSpec(name="t", config=_small_cfg(),
+                        sweep=[{}, {"p_b_dbm": 40.0}], runs=2,
+                        stages="analog")
+    serial = monte_carlo(spec, workers=1)
+
+    def unpicklable(self, protocol):
+        raise pickle.PicklingError("a SystemConfig was pickled")
+    monkeypatch.setattr(SystemConfig, "__reduce_ex__", unpicklable)
+    with pytest.raises(pickle.PicklingError):
+        pickle.dumps(spec.config)
+    pooled = monte_carlo(spec, workers=2)
+    # NaN metrics compare equal, PSD arrays element by element
+    np.testing.assert_equal([asdict(r) for r in pooled.records],
+                            [asdict(r) for r in serial.records])
 
 
 _WARM_CAMPAIGN_FAULTS = """
