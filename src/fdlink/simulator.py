@@ -314,8 +314,12 @@ def _rates(cfg, rec, tx, ul, h_dl, y_ul, ul_pay, d_cov, rng):
     rec.fd_rate = rec.dl_rate + rec.ul_rate
 
 
-def run_frame(cfg, rng, stages="full", run_id=0, sweep_point=""):
-    """Simulate one coherence block and return its MetricsRecord."""
+def run_frame(cfg, rng, stages="full", run_id=0, sweep_point="",
+              spectra=False):
+    """Simulate one coherence block and return its MetricsRecord.
+
+    Every frame past the analog stage keeps psd_digital. Only spectra=True
+    also keeps psd_before, psd_analog and psd_noise, which fig7 plots."""
     if stages not in STAGES:
         raise ConfigError(f"stages must be one of {STAGES}")
     nc, cp = cfg.nc, cfg.cp_len
@@ -338,7 +342,8 @@ def run_frame(cfg, rng, stages="full", run_id=0, sweep_point=""):
         p_si = frame_power(si_rx[:, pay])
     before = np.add(si_rx[:, pay], noise_b[:, pay], out=si_rx[:, pay])
     p_before = frame_power(before)
-    psd_before = None if stages == "analog" else compute_psd(before, nc, cp)
+    spectra = spectra and stages != "analog"
+    psd_before = compute_psd(before, nc, cp) if spectra else None
     del si_rx, before                  # before mid is made
     p_res = frame_power(si_res[:, pay])
     mid = si_res[:, pay] + noise_b[:, pay]
@@ -351,8 +356,9 @@ def run_frame(cfg, rng, stages="full", run_id=0, sweep_point=""):
         psd_before=psd_before)
     if stages == "analog":
         return rec
-    rec.psd_analog = compute_psd(mid, nc, cp)
-    rec.psd_noise = compute_psd(noise_b[:, pay], nc, cp)
+    if spectra:
+        rec.psd_analog = compute_psd(mid, nc, cp)
+        rec.psd_noise = compute_psd(noise_b[:, pay], nc, cp)
 
     if rates:                          # the half-duplex uplink input
         ul_pay = ul_rx + noise_b[:, pay]
@@ -501,11 +507,11 @@ class MonteCarloResult:
 
 
 def _mc_task(args):
-    cfg, seed, point_idx, run_idx, stages, label = args
+    cfg, seed, point_idx, run_idx, stages, label, spectra = args
     rng = Rng(seed).child(point_idx, run_idx)
     try:
         return run_frame(cfg, rng, stages=stages, run_id=run_idx,
-                         sweep_point=label)
+                         sweep_point=label, spectra=spectra)
     except Exception as exc:       # one bad run must not end the campaign
         return RunFailure(label, run_idx, f"{type(exc).__name__}: {exc}")
 
@@ -518,7 +524,7 @@ def _mc_worker(conn, tasks):
 
 
 def _worker_died(task, exitcode):
-    _, _, _, run_idx, _, label = task
+    _, _, _, run_idx, _, label, _ = task
     cause = f"signal {-exitcode}" if exitcode < 0 else f"exit code {exitcode}"
     return RunFailure(label, run_idx, f"WorkerDied: {cause}")
 
@@ -580,13 +586,14 @@ def _run_forked(tasks, workers):
     return results
 
 
-def monte_carlo(spec, workers=1):
-    """Run a scenario; deterministic in (seed, sweep point, run index)."""
+def monte_carlo(spec, workers=1, spectra=False):
+    """Run a scenario; deterministic in (seed, sweep point, run index).
+    spectra is run_frame's: keep every spectrum, not only psd_digital."""
     check_int("workers", workers, 1)
     tasks = []
     for point_idx, (label, cfg) in enumerate(spec.points):
-        tasks += [(cfg, spec.seed, point_idx, run_idx, spec.stages, label)
-                  for run_idx in range(spec.runs)]
+        tasks += [(cfg, spec.seed, point_idx, run_idx, spec.stages, label,
+                   spectra) for run_idx in range(spec.runs)]
     # every frame runs at one BLAS thread, so the bytes depend neither on
     # workers nor on the core count; forked workers inherit the cap
     with numerics.blas_threads(1):
@@ -755,7 +762,8 @@ def reproduce(fig, out_dir, runs=None, workers=1):
     results = {}
     for sc, metric, x_key, curve in figure_scenarios(fig, runs=runs):
         if sc.name not in results:
-            results[sc.name] = monte_carlo(sc, workers=workers)
+            results[sc.name] = monte_carlo(sc, workers=workers,
+                                           spectra=fig == "fig7")
             written += write_scenario_outputs(
                 results[sc.name], os.path.join(out_dir, sc.name))
         res = results[sc.name]

@@ -155,7 +155,8 @@ def test_monte_carlo_worker_runs_one_os_thread(monkeypatch):
         pytest.skip("needs OpenBLAS and at least two CPUs")
     real_run_frame = simulator.run_frame
 
-    def probe(cfg, rng, stages="full", run_id=0, sweep_point=""):
+    def probe(cfg, rng, stages="full", run_id=0, sweep_point="",
+              spectra=False):
         real_run_frame(cfg, rng, stages=stages, run_id=run_id,
                        sweep_point=sweep_point)
         return (_openblas_thread_count(),

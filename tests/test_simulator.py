@@ -53,13 +53,21 @@ _ANALOG_FIELDS = ["run_id", "sweep_point", "p_saturation", "alpha",
                   "residual_si_dbm", "analog_supp_db"]
 _DIGITAL_FIELDS = _ANALOG_FIELDS + [
     "tsvd_rank", "digital_supp_db", "linear_supp_db", "total_supp_db",
-    "isr_db", "psd_before", "psd_analog", "psd_digital", "psd_noise"]
+    "isr_db", "psd_digital"]
+# the spectra that only run_frame(..., spectra=True) keeps (fig7 plots them)
+_SPECTRA = ["psd_before", "psd_analog", "psd_noise"]
 _STAGE_FIELDS = {"analog": _ANALOG_FIELDS, "digital": _DIGITAL_FIELDS,
-                 "full": [f.name for f in fields(simulator.MetricsRecord)]}
+                 "full": [f.name for f in fields(simulator.MetricsRecord)
+                          if f.name not in _SPECTRA]}
 
 
-def _assert_stage_fields_finite(rec, stages):
-    for name in _STAGE_FIELDS[stages]:
+def _stage_fields(stages, spectra=False):
+    extra = _SPECTRA if spectra and stages != "analog" else []
+    return _STAGE_FIELDS[stages] + extra
+
+
+def _assert_stage_fields_finite(rec, stages, spectra=False):
+    for name in _stage_fields(stages, spectra):
         v = getattr(rec, name)
         if isinstance(v, np.ndarray):
             assert np.all(np.isfinite(v)), (stages, name)
@@ -69,25 +77,34 @@ def _assert_stage_fields_finite(rec, stages):
 
 def test_run_frame_stage_subsets():
     cfg = _small_cfg()
-    recs = {s: run_frame(cfg, Rng(5).child(0, 0), stages=s)
-            for s in simulator.STAGES}
-    for stages, rec in recs.items():
+    recs = {(s, spectra): run_frame(cfg, Rng(5).child(0, 0), stages=s,
+                                    spectra=spectra)
+            for s in simulator.STAGES for spectra in (False, True)}
+    for (stages, spectra), rec in recs.items():
         for f in fields(rec):
             v = getattr(rec, f.name)
-            if f.name not in _STAGE_FIELDS[stages]:
-                assert v is None or np.isnan(v), (stages, f.name)
-        _assert_stage_fields_finite(rec, stages)
+            if f.name not in _stage_fields(stages, spectra):
+                assert v is None or np.isnan(v), (stages, spectra, f.name)
+        _assert_stage_fields_finite(rec, stages, spectra)
     # every field a stage subset sets equals the value of the longer chains,
     # bit for bit: the stages share their streams, and the rate work that
-    # runs ahead of the ADC in `full` leaves the digital stage unchanged
+    # runs ahead of the ADC in `full` leaves the digital stage unchanged;
+    # keeping the spectra changes no other field
     for short, longer in (("analog", "digital"), ("analog", "full"),
                           ("digital", "full")):
-        for name in _STAGE_FIELDS[short]:
-            a, b = getattr(recs[short], name), getattr(recs[longer], name)
-            if isinstance(a, np.ndarray):
-                assert np.array_equal(a, b), (short, longer, name)
-            else:
-                assert a == b, (short, longer, name)
+        for spectra in (False, True):
+            for name in _stage_fields(short, spectra):
+                a = getattr(recs[short, spectra], name)
+                b = getattr(recs[longer, spectra], name)
+                if isinstance(a, np.ndarray):
+                    assert np.array_equal(a, b), (short, longer, name)
+                else:
+                    assert a == b, (short, longer, name)
+    for stages in simulator.STAGES:
+        for name in _stage_fields(stages):
+            a = getattr(recs[stages, False], name)
+            b = getattr(recs[stages, True], name)
+            assert np.array_equal(a, b), (stages, name)
 
 
 # Every scalar field of run_frame(_small_cfg(), Rng(5).child(0, 0)), added
@@ -128,7 +145,7 @@ def test_run_frame_matches_recorded_values(case):
     else:
         cfg, seed, stages, recorded = _small_cfg(), 5, case, _RECORDED
     rec = run_frame(cfg, Rng(seed).child(0, 0), stages=stages,
-                    run_id=3, sweep_point="p")
+                    run_id=3, sweep_point="p", spectra=True)
     want = {"run_id": 3, "sweep_point": "p"}
     for s in simulator.STAGES[:simulator.STAGES.index(stages) + 1]:
         want.update(recorded[s])
@@ -468,7 +485,8 @@ def test_long_frame_memory_is_bounded(name, stages, bound):
 
 
 def test_monte_carlo_counts_numerical_failures(monkeypatch):
-    def boom(cfg, rng, stages="full", run_id=0, sweep_point=""):
+    def boom(cfg, rng, stages="full", run_id=0, sweep_point="",
+             spectra=False):
         raise numerics.NumericalError("synthetic breakdown")
     monkeypatch.setattr(simulator, "run_frame", boom)
     spec = ScenarioSpec(name="t", config=_small_cfg(), runs=3)
@@ -483,7 +501,8 @@ def test_monte_carlo_counts_numerical_failures(monkeypatch):
 def test_monte_carlo_survives_non_numerical_failure(monkeypatch, workers):
     real_run_frame = simulator.run_frame
 
-    def flaky(cfg, rng, stages="full", run_id=0, sweep_point=""):
+    def flaky(cfg, rng, stages="full", run_id=0, sweep_point="",
+              spectra=False):
         if run_id == 1:
             raise ValueError("synthetic bug")
         return real_run_frame(cfg, rng, stages=stages, run_id=run_id,
@@ -526,7 +545,8 @@ from fdlink import simulator
 from fdlink.config_units import SystemConfig
 from fdlink.simulator import ScenarioSpec, monte_carlo
 
-def probe(cfg, rng, stages="full", run_id=0, sweep_point=""):
+def probe(cfg, rng, stages="full", run_id=0, sweep_point="",
+          spectra=False):
     return ["numpy.random" in sys.modules, "numpy.fft" in sys.modules]
 
 simulator.run_frame = probe
@@ -560,7 +580,8 @@ from fdlink.simulator import ScenarioSpec, monte_carlo
 PARENT = os.getpid()
 real_run_frame = simulator.run_frame
 
-def killed_on_run_1(cfg, rng, stages="full", run_id=0, sweep_point=""):
+def killed_on_run_1(cfg, rng, stages="full", run_id=0, sweep_point="",
+                    spectra=False):
     # as the kernel's OOM killer would kill a worker; never this process
     if run_id == 1 and os.getpid() != PARENT:
         os.kill(os.getpid(), signal.SIGKILL)
@@ -612,7 +633,8 @@ class _ParentStops(Exception):
 def test_no_worker_outlives_a_campaign(monkeypatch, fault):
     real_run_frame = simulator.run_frame
 
-    def flaky(cfg, rng, stages="full", run_id=0, sweep_point=""):
+    def flaky(cfg, rng, stages="full", run_id=0, sweep_point="",
+              spectra=False):
         if run_id == 1:
             raise ValueError("synthetic bug")
         return real_run_frame(cfg, rng, stages=stages, run_id=run_id,
@@ -956,7 +978,8 @@ def test_cli_rejects_bad_worker_count(tmp_path, capsys, workers):
 
 
 def test_cli_failure_exit_code(tmp_path, monkeypatch, capsys):
-    def boom(cfg, rng, stages="full", run_id=0, sweep_point=""):
+    def boom(cfg, rng, stages="full", run_id=0, sweep_point="",
+             spectra=False):
         raise numerics.NumericalError("synthetic breakdown")
     monkeypatch.setattr(simulator, "run_frame", boom)
     path = _write_cfg(tmp_path, SMALL)
@@ -967,7 +990,8 @@ def test_cli_failure_exit_code(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_reproduce_failure_exit_code(tmp_path, monkeypatch, capsys):
-    def boom(cfg, rng, stages="full", run_id=0, sweep_point=""):
+    def boom(cfg, rng, stages="full", run_id=0, sweep_point="",
+             spectra=False):
         raise numerics.NumericalError("synthetic breakdown")
     monkeypatch.setattr(simulator, "run_frame", boom)
     rc = main(["reproduce", "fig7", "--runs", "1",
