@@ -6,9 +6,9 @@ applying it is a linear convolution with zero initial history. Only the
 tapped delay lines (those with a nonzero tap; the SI channel and the analog
 canceller can leave most lines empty) enter it: one stacked product
 (L' n_rx, n_tx) @ x over the L' tapped lines per cache-sized column block of
-the frame, with their shifted adds inside the block. The same loop filters a
-samplewise basis of the input (the digital canceller's monomials), built one
-block at a time, so the basis is never formed for the whole frame.
+the frame, with their shifted adds inside the block. The same loop can filter
+a samplewise basis of the input, built one block at a time, so the basis is
+never formed for the whole frame.
 Frequency responses are the unnormalized DFT across the tap axis.
 """
 

@@ -14,12 +14,11 @@ of it (a covariance, a power, a PSD, a rate, or a sum taken in place into
 another frame array) and freed in one stage. The uplink is muted over the
 training window, so it is built as payload only, and a `digital` frame
 quantizes only the training window. The SI frame is reduced to its power and
-PSD and freed before the residual-plus-noise frame is made. An `analog` frame
-peaks in the SI convolutions, a `digital` frame at the PSD of the SI frame
-plus noise (where the transmit, SI, residual SI, noise and uplink frames
-coexist) or in the digital fit's normal equations, and a `full` frame after
-the digital fit. Each stage has its own stream and every sum keeps its
-operand order, so the order of the work changes no number.
+PSD and freed before the residual-plus-noise frame is made. An `analog` or
+`digital` frame peaks in the SI convolutions (a `digital` frame holds the
+uplink payload there too), and a `full` frame after the digital fit. Each
+stage has its own stream and every sum keeps its operand order, so the order
+of the work changes no number.
 """
 
 import collections
@@ -38,8 +37,7 @@ from .config_units import (Rng, SystemConfig, ConfigError, check_int,
                            linear_to_dbm, preset)
 from .waveform import (draw_symbols, frame_power, ofdm_modulate,
                        ofdm_demodulate, row_blocks)
-from .impairments import (adc_full_scale, adc_quantize,
-                          build_augmented_vector, check_saturation,
+from .impairments import (adc_full_scale, adc_quantize, check_saturation,
                           derive_gain_matrices, make_impairment_model,
                           tx_chain)
 from .channel import (apply_channel, estimate_with_mse, gen_rayleigh,
@@ -49,8 +47,8 @@ from .beamforming import (bin_cov, cov_through, rate_bits, residual_si_cov,
                           solve_dl, ul_combiner, ul_precoder)
 # build_design_matrix, tsvd_estimate: unused, but perfbench/bench.py wraps them
 from .digital_canceller import (build_design_matrix, cancel_signal,
-                                linear_basis_mask, normal_equations,
-                                tsvd_estimate, tsvd_fit)
+                                linear_normal_equations, normal_equations,
+                                real_basis, tsvd_estimate, tsvd_fit)
 
 STAGES = ("analog", "digital", "full")
 
@@ -259,17 +257,15 @@ def _digital_cancel(cfg, x_b, y_train):
     and with the linear taps only; returns each fit's payload correction and
     the full fit's TSVD rank."""
     n_train = y_train.shape[1]
-    g, c = normal_equations(build_augmented_vector(x_b[:, :n_train]),
-                            y_train, cfg.l_si)
+    g, c = normal_equations(real_basis(x_b[:, :n_train]), y_train, cfg.l_si)
     state = tsvd_fit(g, c, y_train, cfg.sigma_b_w)
+    state_lin = tsvd_fit(*linear_normal_equations(g, c, cfg.l_si), y_train,
+                         cfg.sigma_b_w)
     # only the payload is read past here; the filter reaches l_si - 1 back
     hist = max(n_train - cfg.l_si + 1, 0)
-    d_corr = cancel_signal(state, x_b[:, hist:],
-                           build_augmented_vector)[:, n_train - hist:]
-    lin = linear_basis_mask(cfg.n_tx_b, cfg.l_si)
-    state_lin = tsvd_fit(g[np.ix_(lin, lin)], c[:, lin], y_train,
-                         cfg.sigma_b_w)
-    d_lin = cancel_signal(state_lin, x_b[:, hist:])[:, n_train - hist:]
+    d_corr, d_lin = cancel_signal(x_b[:, hist:],
+                                  (state.theta, state_lin.theta), cfg.l_si,
+                                  start=n_train - hist)
     return d_corr, d_lin, float(state.rank_used)
 
 

@@ -3,7 +3,7 @@
 
 Usage, from the root of a source checkout (fdlink is imported from ./src):
 
-    python3 tests/golden.py
+    python3 tests/golden.py [--record]
 
 Every scenario file in tests/data/golden/ runs through `fdlink sweep` at
 `--workers` 1 and at `--workers` 2. The script prints each output file
@@ -12,11 +12,18 @@ the serial outputs against tests/data/golden/sha256.json, and each hash
 that moved. The exit code is 0 only when every hash matches and serial
 equals parallel on every scenario.
 
+With --record, a change that moves the bytes on purpose rewrites
+sha256.json: the serial hashes and this environment's fingerprint. It does
+so only when every sweep exited 0 and serial equals parallel on every
+scenario, and it still prints each hash that moved; the exit code is then
+0 when the file was written.
+
 The recorded hashes hold for the machine, numpy and BLAS in the file's
 fingerprint (perfbench/bench.py's fields); the script says when this
 environment differs from it.
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -57,7 +64,11 @@ def digests(out):
             for p in sorted(out.glob("*")) if p.is_file()}
 
 
-def main():
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--record", action="store_true",
+                    help="rewrite sha256.json from this run's serial outputs")
+    record = ap.parse_args(argv).record
     ok = True
     serial = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -87,11 +98,20 @@ def main():
     want = recorded["sha256"]
     print(f"{sum(serial.get(k) == h for k, h in want.items())} of "
           f"{len(want)} match")
+    moved = False
     for name in sorted(set(want) | set(serial)):
         if serial.get(name) != want.get(name):
             print(f"moved: {name} {want.get(name)} -> {serial.get(name)}")
-            ok = False
-    return 0 if ok else 1
+            moved = True
+    if record:
+        if not ok:                         # a sweep failed or serial != parallel
+            print(f"not recorded: {RECORD.relative_to(ROOT)} is unchanged")
+            return 1
+        RECORD.write_text(json.dumps({"fingerprint": fp, "sha256": serial},
+                                     indent=1) + "\n")
+        print(f"recorded {len(serial)} hashes in {RECORD.relative_to(ROOT)}")
+        return 0
+    return 0 if ok and not moved else 1
 
 
 if __name__ == "__main__":

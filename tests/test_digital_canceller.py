@@ -1,21 +1,39 @@
-"""Adaptive digital SI canceller: design matrix, normal equations and
-truncated-SVD fit."""
+"""Adaptive digital SI canceller: design matrices, normal equations, the
+truncated-SVD fit and the filter that applies it."""
 
 import numpy as np
 import pytest
 
-from fdlink import numerics
 from fdlink.channel import BLOCK, apply_channel
 from fdlink.config_units import Rng, complex_normal
 from fdlink.digital_canceller import (DigitalCancellerState,
                                       build_design_matrix, cancel_signal,
-                                      linear_basis_mask, normal_equations,
+                                      linear_basis_mask,
+                                      linear_normal_equations,
+                                      normal_equations, real_basis,
                                       tsvd_estimate, tsvd_fit)
 from fdlink.impairments import build_augmented_vector
 
 
 def _frame(gen, n_tx=2, t=120):
     return complex_normal(gen, (n_tx, t))
+
+
+def _real_design_matrix(x, l_si):
+    """The dense real design matrix R: delayed copies of real_basis(x)."""
+    r = real_basis(x)
+    nb, t = r.shape
+    big = np.zeros((l_si * nb, t))
+    for l in range(min(l_si, t)):
+        big[l * nb:(l + 1) * nb, l:] = r[:, :t - l]
+    return big
+
+
+def _fit(x, y, l_si, noise_var):
+    """The frame's two fits from the real normal equations: (full, linear)."""
+    g, c = normal_equations(real_basis(x), y, l_si)
+    return (tsvd_fit(g, c, y, noise_var),
+            tsvd_fit(*linear_normal_equations(g, c, l_si), y, noise_var))
 
 
 # --- design matrix -----------------------------------------------------------
@@ -51,20 +69,34 @@ def test_linear_basis_mask():
     assert np.array_equal(idx, np.r_[0:4, 24:28, 48:52])
 
 
+def test_real_basis_rows():
+    # Re and Im of x, x^3 and x^2 x* = |x|^2 x, blocks 0, 2 and 3 of the
+    # complex basis
+    x = _frame(Rng(13).generator, n_tx=3, t=50)
+    u = np.split(build_augmented_vector(x), 6)
+    want = np.concatenate([u[0].real, u[0].imag, u[2].real, u[2].imag,
+                           u[3].real, u[3].imag])
+    got = real_basis(x)
+    assert got.dtype == float and got.shape == (18, 50)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.abs(want).max()
+    assert np.array_equal(real_basis(x[:, 7:30]), got[:, 7:30])
+
+
 @pytest.mark.parametrize("linear_only", [False, True])
 def test_cancel_signal_filter_equals_dense_design_matrix(linear_only):
     gen = Rng(9).generator
-    n_tx, l_si = 3, 4
+    n_tx, l_si, n_rx = 3, 4, 2
     x = _frame(gen, n_tx=n_tx, t=90)
-    psi = build_design_matrix(x, l_si)
-    basis = build_augmented_vector
-    if linear_only:
-        psi, basis = psi[linear_basis_mask(n_tx, l_si)], None
-    theta = complex_normal(gen, (2, psi.shape[0]))
-    state = DigitalCancellerState(theta, psi.shape[0], np.zeros(2),
-                                  np.ones(psi.shape[0]))
-    want = -(theta @ psi)
-    got = cancel_signal(state, x, basis)
+    if linear_only:                    # a complex map of x alone
+        psi = build_design_matrix(x, l_si)[linear_basis_mask(n_tx, l_si)]
+        theta = complex_normal(gen, (n_rx, psi.shape[0]))
+        want = -(theta @ psi)
+    else:                              # a real map of the real basis
+        big = _real_design_matrix(x, l_si)
+        theta = gen.standard_normal((2 * n_rx, big.shape[0]))
+        fit = theta @ big
+        want = -(fit[:n_rx] + 1j * fit[n_rx:])
+    got, = cancel_signal(x, (theta,), l_si)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).max()
 
 
@@ -76,36 +108,47 @@ def test_cancel_signal_on_payload_window_equals_full_frame(linear_only,
     gen = Rng(11).generator
     n_tx, l_si = 3, 4
     x = _frame(gen, n_tx=n_tx, t=90)
-    basis = None if linear_only else build_augmented_vector
-    n_basis = n_tx if linear_only else 6 * n_tx
-    theta = complex_normal(gen, (2, l_si * n_basis))
-    state = DigitalCancellerState(theta, theta.shape[1], np.zeros(2),
-                                  np.ones(theta.shape[1]))
-    want = cancel_signal(state, x, basis)[:, start:]
+    if linear_only:
+        theta = complex_normal(gen, (2, l_si * n_tx))
+    else:
+        theta = gen.standard_normal((4, l_si * 6 * n_tx))
+    want = cancel_signal(x, (theta,), l_si)[0][:, start:]
     hist = max(start - l_si + 1, 0)
-    got = cancel_signal(state, x[:, hist:], basis)[:, start - hist:]
+    got, = cancel_signal(x[:, hist:], (theta,), l_si, start=start - hist)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).max()
 
 
-# frame lengths around the edges of apply_channel's column blocks
+def test_cancel_signal_applies_each_fit_as_alone():
+    # one pass with both fits gives each fit's bytes of a pass on its own
+    gen = Rng(14).generator
+    n_tx, l_si = 4, 5
+    x = _frame(gen, n_tx=n_tx, t=BLOCK + 300)
+    full = gen.standard_normal((8, l_si * 6 * n_tx))
+    lin = complex_normal(gen, (4, l_si * n_tx))
+    both = cancel_signal(x, (full, lin), l_si, start=7)
+    for theta, got in zip((full, lin), both):
+        assert np.array_equal(got, cancel_signal(x, (theta,), l_si, 7)[0])
+
+
+# frame lengths around the edges of the filter's column blocks
 @pytest.mark.parametrize("l_si", [1, 6])
 @pytest.mark.parametrize("edge", ["B-1", "B", "B+1", "2B+L-1"])
 def test_blockwise_basis_filter_bytes_equal_whole_frame_basis(l_si, edge):
-    # the filter builds the monomials one block at a time; each block must
-    # give the same bytes as filtering the whole frame's monomial stream
+    # the filter builds the real basis one block at a time; each block must
+    # give the bytes of apply_channel over the whole frame's real basis,
+    # which takes the same column blocks and the same shifted adds
     t = {"B-1": BLOCK - 1, "B": BLOCK, "B+1": BLOCK + 1,
          "2B+L-1": 2 * BLOCK + l_si - 1}[edge]
     gen = Rng(12).generator
-    n_tx = 2
+    n_tx, n_rx = 2, 3
     x = _frame(gen, n_tx=n_tx, t=t)
-    theta = complex_normal(gen, (3, l_si * 6 * n_tx))
-    state = DigitalCancellerState(theta, theta.shape[1], np.zeros(3),
-                                  np.ones(theta.shape[1]))
-    taps = theta.reshape(3, l_si, 6 * n_tx).transpose(1, 0, 2)
-    want = -apply_channel(build_augmented_vector(x), taps)
-    got = cancel_signal(state, x, build_augmented_vector)
-    assert np.array_equal(got, want)
+    theta = gen.standard_normal((2 * n_rx, l_si * 6 * n_tx))
+    taps = theta.reshape(2 * n_rx, l_si, 6 * n_tx).transpose(1, 0, 2)
+    want = -apply_channel(real_basis(x), taps).real
+    got, = cancel_signal(x, (theta,), l_si)
+    assert np.array_equal(got.real, want[:n_rx])
+    assert np.array_equal(got.imag, want[n_rx:])
 
 
 def test_normal_equations_equal_dense_products():
@@ -118,64 +161,44 @@ def test_normal_equations_equal_dense_products():
         short += t < l_si
         x = _frame(gen, n_tx=n_tx, t=t)
         y = complex_normal(gen, (int(gen.integers(1, 5)), t))
-        psi = build_design_matrix(x, l_si)
-        g, c = normal_equations(build_augmented_vector(x), y, l_si)
-        g_want, c_want = psi @ psi.conj().T, y @ psi.conj().T
+        big = _real_design_matrix(x, l_si)
+        g, c = normal_equations(real_basis(x), y, l_si)
+        g_want = big @ big.T
+        c_want = np.concatenate([y.real, y.imag]) @ big.T
+        assert g.dtype == c.dtype == float
         assert g.shape == g_want.shape and c.shape == c_want.shape
         assert np.max(np.abs(g - g_want)) <= 1e-12 * np.abs(g_want).max()
         assert np.max(np.abs(c - c_want)) <= 1e-12 * np.abs(c_want).max()
     assert short > 0
 
 
-def _normal_equations_all_rows(u, y, l_si):
-    """normal_equations with every row of block row 0 taken by the product,
-    as it was before the conjugate rows were mirrored: the byte oracle."""
-    nb, t = u.shape
-    pad_c = np.zeros((nb, l_si - 1 + t), dtype=complex)
-    np.conjugate(u, out=pad_c[:, l_si - 1:])
-    g = np.empty((l_si, nb, l_si, nb), dtype=complex)
-    c = np.empty((y.shape[0], l_si, nb), dtype=complex)
-    for m in range(l_si):
-        sh = pad_c[:, l_si - 1 - m:][:, :t].T
-        g[0, :, m], c[:, m] = u @ sh, y @ sh
-    rev = pad_c[:, :-l_si:-1].conj()
-    for l in range(1, l_si):
-        g[l:, :, l - 1] = g[l - 1, :, l:].transpose(1, 2, 0).conj()
-        g[l, :, l:] = g[l - 1, :, l - 1:-1] - (
-            rev[:, l - 1, None, None] * rev[:, l - 1:l_si - 1].conj().T)
-    return g.reshape(l_si * nb, -1), c.reshape(-1, l_si * nb)
+def test_linear_normal_equations_equal_x_rows_products():
+    gen = Rng(15).generator
+    n_tx, l_si, t = 3, 4, 70
+    x = _frame(gen, n_tx=n_tx, t=t)
+    y = complex_normal(gen, (2, t))
+    g, c = linear_normal_equations(
+        *normal_equations(real_basis(x), y, l_si), l_si)
+    psi = build_design_matrix(x, l_si)[linear_basis_mask(n_tx, l_si)]
+    g_want, c_want = psi @ psi.conj().T, y @ psi.conj().T
+    assert np.max(np.abs(g - g_want)) <= 1e-12 * np.abs(g_want).max()
+    assert np.max(np.abs(c - c_want)) <= 1e-12 * np.abs(c_want).max()
 
 
-def _mirror(n_tx):
-    """Index of the conjugate of each row of a six-block monomial stack."""
-    return (np.array([1, 0, 5, 4, 3, 2])[:, None] * n_tx
-            + np.arange(n_tx)).ravel()
-
-
-@pytest.mark.parametrize("n_tx", [1, 2, 3, 4])
-def test_normal_equations_equal_all_rows_products(n_tx):
-    # frames run at one BLAS thread; there the mirrored rows keep the
-    # all-rows product's values for an even transmitter count, as at every
-    # preset (four). For an odd count OpenBLAS rounds the columns of its last
-    # partial column tile unlike the others, so the all-rows product is not
-    # exactly conjugate-symmetric there and the two differ in the last bits.
-    gen = Rng(30 + n_tx).generator
-    with numerics.blas_threads(1):
-        for l_si, t, n_rx in [(1, 40, 2), (5, 3, 1), (6, 301, 4),
-                              (19, 2 * BLOCK + 5, 4)]:
-            u = build_augmented_vector(_frame(gen, n_tx=n_tx, t=t))
-            y = complex_normal(gen, (n_rx, t))
-            g, c = normal_equations(u, y, l_si)
-            g_want, c_want = _normal_equations_all_rows(u, y, l_si)
-            assert np.array_equal(c, c_want)
-            # block row 0 is conjugate-symmetric under the mirror by design
-            idx = _mirror(n_tx)
-            g0 = g[:6 * n_tx].reshape(6 * n_tx, l_si, 6 * n_tx)
-            assert np.array_equal(g0, g0[idx][:, :, idx].conj())
-            if n_tx % 2 == 0:
-                assert np.array_equal(g, g_want)
-            else:
-                assert np.max(np.abs(g - g_want)) <= 1e-15 * np.abs(g_want).max()
+def test_real_gram_eigenvalues_are_half_the_complex_ones():
+    # B = M G M^H with M M^H = I / 2
+    gen = Rng(16).generator
+    x = _frame(gen, n_tx=2, t=80)
+    y = complex_normal(gen, (2, 80))
+    psi = build_design_matrix(x, 3)
+    g, c = normal_equations(real_basis(x), y, 3)
+    lam_b = np.linalg.eigvalsh(g)
+    lam_g = np.linalg.eigvalsh(psi @ psi.conj().T)
+    assert np.max(np.abs(2 * lam_b - lam_g)) <= 1e-12 * lam_g.max()
+    # so the real fit reports the singular values of psi
+    sv = np.linalg.svd(psi, compute_uv=False)
+    got = tsvd_fit(g, c, y, 0.0).singular_values
+    assert np.max(np.abs(got - sv)) <= 1e-10 * sv[0]
 
 
 # --- TSVD fit ----------------------------------------------------------------
@@ -185,23 +208,33 @@ def test_normal_equations_equal_all_rows_products(n_tx):
 @pytest.mark.parametrize("linear_only", [False, True])
 @pytest.mark.parametrize("noise_var", [0.0, 1e-3, 3e-2])
 def test_sub_block_fit_equals_dense_fit(linear_only, noise_var):
-    # the fit from (a principal submatrix of) normal_equations equals the
-    # dense fit over the same rows of the design matrix
+    # the real fit equals the complex widely-linear fit over the dense design
+    # matrix, and the linear baseline, read from the x rows of the real
+    # normal equations, equals the complex fit over the x rows alone
     gen = Rng(11).generator
     n_tx, l_si, t = 4, 3, 160
     x = _frame(gen, n_tx=n_tx, t=t)
     psi = build_design_matrix(x, l_si)
     y = (complex_normal(gen, (4, psi.shape[0]), var=1e-4) @ psi
          + complex_normal(gen, (4, t), var=1e-9))
-    g, c = normal_equations(build_augmented_vector(x), y, l_si)
-    rows = np.ones(psi.shape[0], dtype=bool)
+    full, lin = _fit(x, y, l_si, noise_var)
     if linear_only:
-        rows = linear_basis_mask(n_tx, l_si)
-    got = tsvd_fit(g[np.ix_(rows, rows)], c[:, rows], y, noise_var)
-    want = tsvd_estimate(psi[rows], y, noise_var)
+        psi = psi[linear_basis_mask(n_tx, l_si)]
+    want = tsvd_estimate(psi, y, noise_var)
+    got = lin if linear_only else full
     assert got.rank_used == want.rank_used
-    assert np.max(np.abs(got.theta - want.theta)) <= (
-        1e-10 * np.abs(want.theta).max())
+    if linear_only:                    # the same complex map of x
+        assert np.max(np.abs(got.theta - want.theta)) <= (
+            1e-10 * np.abs(want.theta).max())
+    fitted = -cancel_signal(x, (got.theta,), l_si)[0]
+    fitted_want = want.theta @ psi
+    assert np.max(np.abs(fitted - fitted_want)) <= (
+        1e-12 * np.abs(fitted_want).max())
+    # each residual is the signal power less the fitted power, so both
+    # carry a rounding error of order eps times the signal power
+    assert np.allclose(got.residual_power_per_antenna,
+                       want.residual_power_per_antenna, rtol=0,
+                       atol=1e-12 * np.mean(np.abs(y) ** 2))
 
 
 def test_noiseless_recovery_cancels_exactly():
@@ -210,8 +243,8 @@ def test_noiseless_recovery_cancels_exactly():
     psi = build_design_matrix(x, 2)
     theta_true = complex_normal(gen, (3, psi.shape[0]))
     y = theta_true @ psi
-    state = tsvd_estimate(psi, y, 0.0)
-    resid = y + cancel_signal(state, x, build_augmented_vector)
+    state, _ = _fit(x, y, 2, 0.0)
+    resid = y + cancel_signal(x, (state.theta,), 2)[0]
     assert np.max(np.abs(resid)) < 1e-10 * np.max(np.abs(y))
     rel = state.residual_power_per_antenna / np.mean(np.abs(y) ** 2, axis=1)
     assert np.all(rel < 1e-12)
@@ -252,7 +285,9 @@ def test_zero_design_matrix_guard():
     assert np.allclose(state.residual_power_per_antenna,
                        np.mean(np.abs(y) ** 2, axis=1))
     x = np.zeros((2, 30), dtype=complex)
-    assert np.all(cancel_signal(state, x, build_augmented_vector) == 0)
+    for fit in _fit(x, y, 1, 1e-13):
+        assert fit.rank_used == 0
+        assert np.all(cancel_signal(x, (fit.theta,), 1)[0] == 0)
 
 
 def test_rank_shrinks_as_noise_floor_rises():
