@@ -338,8 +338,8 @@ def run_frame(cfg, rng, stages="full", run_id=0, sweep_point="",
         p_si = frame_power(si_rx[:, pay])
     before = np.add(si_rx[:, pay], noise_b[:, pay], out=si_rx[:, pay])
     p_before = frame_power(before)
-    spectra = spectra and stages != "analog"
-    psd_before = compute_psd(before, nc, cp) if spectra else None
+    psd_before = (compute_psd(before, nc, cp)
+                  if spectra and stages != "analog" else None)
     del si_rx, before                  # before mid is made
     p_res = frame_power(si_res[:, pay])
     mid = si_res[:, pay] + noise_b[:, pay]
