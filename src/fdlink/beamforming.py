@@ -19,7 +19,7 @@ import numpy as np
 
 from . import numerics
 from .impairments import check_saturation, tx_chain
-from .waveform import draw_symbols, ofdm_modulate, ofdm_demodulate
+from .waveform import data_bins, draw_symbols, ofdm_modulate
 
 # OFDM symbols in the probe frame that measures the TX distortion
 PROBE_SYMBOLS = 4
@@ -100,7 +100,7 @@ def solve_dl(h_si_eff_f, h_dl_f, gains_b, g1, lambda_b_w, nc, data_idx,
         hopeless = np.any(np.sum(sig_w[:, n_tx - alpha:], axis=1)
                           >= lambda_b_w * (1 + 1e-9))
         if hopeless and alpha != candidates[-1]:
-            draw_symbols(probe_gen, PROBE_SYMBOLS, nc, data_idx, alpha)
+            draw_symbols(probe_gen, PROBE_SYMBOLS, len(data_idx), alpha)
             continue
         m = h_dl_f @ null_basis                # downlink seen through it
         um, _, fm = numerics.svd(m)
@@ -109,11 +109,10 @@ def solve_dl(h_si_eff_f, h_dl_f, gains_b, g1, lambda_b_w, nc, data_idx,
 
         # estimated residual SI at the own RX: precoded signal part plus the
         # actual TX distortion of a probe frame run through the chain
-        s = draw_symbols(probe_gen, PROBE_SYMBOLS, nc, data_idx, alpha)
-        x = ofdm_modulate(s, v, cp_len, data_idx)
-        _, z = tx_chain(x, gains_b)
-        zf = ofdm_demodulate(z, nc, cp_len)[:, data_idx, :].transpose(1, 2, 0)
-        cov = residual_si_cov(h_si_eff_f, g1 * v, zf)
+        s = draw_symbols(probe_gen, PROBE_SYMBOLS, len(data_idx), alpha)
+        _, z = tx_chain(ofdm_modulate(s, v, cp_len, (nc, data_idx)), gains_b)
+        cov = residual_si_cov(h_si_eff_f, g1 * v,
+                              data_bins(z, nc, cp_len, data_idx))
         res_w = np.sum(np.diagonal(cov, axis1=1, axis2=2).real, axis=0) / nc
         sat = check_saturation(res_w, lambda_b_w)
 

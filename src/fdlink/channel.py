@@ -6,9 +6,7 @@ applying it is a linear convolution with zero initial history. Only the
 tapped delay lines (those with a nonzero tap; the SI channel and the analog
 canceller can leave most lines empty) enter it: one stacked product
 (L' n_rx, n_tx) @ x over the L' tapped lines per cache-sized column block of
-the frame, with their shifted adds inside the block. The same loop can filter
-a samplewise basis of the input, built one block at a time, so the basis is
-never formed for the whole frame.
+the frame, with their shifted adds inside the block.
 Frequency responses are the unnormalized DFT across the tap axis.
 """
 
@@ -91,17 +89,14 @@ def gen_rician_si(gen, n_rx, n_tx, lines, losses_db, k_direct_db):
     return taps
 
 
-def apply_channel(x, taps, basis=None):
+def apply_channel(x, taps):
     """Linear convolution y[k] = sum_l H[l] u[k-l], zero history before k=0.
 
     Only the delay lines with a nonzero tap enter the product and the
     shifted adds, in ascending line order; an all-zero line adds nothing.
 
-    :param x: (n, n_samples) frame
+    :param x: (n_tx, n_samples) frame
     :param taps: (L, n_rx, n_tx) tap stack
-    :param basis: optional samplewise map of x's columns to n_tx rows, such
-        as build_augmented_vector; u = basis(x), built per block. Without it
-        u = x and n = n_tx.
     :returns: (n_rx, n_samples) frame (tail beyond the frame is dropped)
     """
     x = np.atleast_2d(np.asarray(x))
@@ -125,8 +120,7 @@ def apply_channel(x, taps, basis=None):
     for k0 in range(0, n_samp, BLOCK):
         k1 = min(k0 + BLOCK, n_samp)
         h0 = max(k0 - n_lines + 1, 0)      # oldest input the block reaches
-        u = x[:, h0:k1] if basis is None else basis(x[:, h0:k1])
-        p = np.matmul(stacked, u, out=buf[:, :k1 - h0])
+        p = np.matmul(stacked, x[:, h0:k1], out=buf[:, :k1 - h0])
         p = p.reshape(len(rows), n_rx, k1 - h0)
         for i, l in enumerate(lines):
             lo = max(k0, l)                # first output with x[k-l] in frame

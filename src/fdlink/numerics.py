@@ -99,9 +99,10 @@ def fft(x, axis=-1):
     return np.fft.fft(x, axis=axis, norm="ortho")
 
 
-def ifft(x, axis=-1):
-    """Unitary inverse DFT along one axis."""
-    return np.fft.ifft(x, axis=axis, norm="ortho")
+def ifft(x, axis=-1, out=None):
+    """Unitary inverse DFT along one axis, into out if given (which may be
+    x itself)."""
+    return np.fft.ifft(x, axis=axis, norm="ortho", out=out)
 
 
 def _openblas_thread_funcs():

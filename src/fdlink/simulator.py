@@ -35,7 +35,7 @@ from . import numerics
 from .config_units import (Rng, SystemConfig, ConfigError, check_int,
                            complex_normal, dbm_to_linear, linear_to_db,
                            linear_to_dbm, preset)
-from .waveform import (draw_symbols, frame_power, ofdm_modulate,
+from .waveform import (data_bins, draw_symbols, frame_power, ofdm_modulate,
                        ofdm_demodulate, row_blocks)
 from .impairments import (adc_full_scale, adc_quantize, check_saturation,
                           derive_gain_matrices, make_impairment_model,
@@ -119,22 +119,17 @@ def _per_antenna_db(p_num, p_den):
     return float(np.mean(linear_to_db(p_num / p_den)))
 
 
-def _data_bins(cfg, frames):
-    """The data bins of each OFDM symbol of frames, (nd, n, sym)."""
-    yf = ofdm_demodulate(frames, cfg.nc, cfg.cp_len)[:, cfg.data_idx, :]
-    return yf.transpose(1, 2, 0)
-
-
 def _measured_rate(cfg, y_frames, u, s):
-    """Mean data-bin rate of the symbols s (sym, nc, d) received as y_frames
+    """Mean data-bin rate of the symbols s (sym, nd, d) received as y_frames
     and combined by u (nd, n_rx, d), with empirical combined-domain IpN.
 
     The per-bin effective channel is refit from the payload by least
     squares (the demod reference a receiver would estimate from the
     frame), so raw CSI error does not masquerade as interference.
     """
-    s_known = s[:, cfg.data_idx, :].transpose(1, 2, 0)     # (nd, d, sym)
-    comb = numerics.herm(u) @ _data_bins(cfg, y_frames)     # U^H y
+    s_known = s.transpose(1, 2, 0)                          # (nd, d, sym)
+    comb = numerics.herm(u) @ data_bins(y_frames, cfg.nc, cfg.cp_len,
+                                        cfg.data_idx)           # U^H y
     cross = comb @ numerics.herm(s_known)
     gram = s_known @ numerics.herm(s_known)
     try:
@@ -172,8 +167,8 @@ def _analog_canceller(cfg, est_si, rng):
 def _precoded_frame(cfg, gen, n_symbols, v):
     """n_symbols OFDM symbols of v.shape[2] streams drawn from gen, precoded
     by the data-bin precoder v and modulated; returns (symbols, frame)."""
-    s = draw_symbols(gen, n_symbols, cfg.nc, cfg.data_idx, v.shape[2])
-    return s, ofdm_modulate(s, v, cfg.cp_len, cfg.data_idx)
+    s = draw_symbols(gen, n_symbols, len(v), v.shape[2])
+    return s, ofdm_modulate(s, v, cfg.cp_len, (cfg.nc, cfg.data_idx))
 
 
 def _uplink(cfg, model, est_ul, h_ul, rng, rates):
@@ -191,7 +186,8 @@ def _uplink(cfg, model, est_ul, h_ul, rng, rates):
     xt_m2, z_m2 = tx_chain(x_m2, derive_gain_matrices(model, g1_m2))
     del x_m2
     ul = ((h_ul_est @ (g1_m2 * v_m2), s_m2,
-           cov_through(h_ul_est, _data_bins(cfg, z_m2))) if rates else None)
+           cov_through(h_ul_est, data_bins(z_m2, cfg.nc, cfg.cp_len,
+                                           cfg.data_idx))) if rates else None)
     del z_m2, s_m2
     return apply_channel(xt_m2, h_ul), ul
 
@@ -223,8 +219,8 @@ def _transmit(cfg, model, h_si, h_dl, est_si, est_dl, c_mats, rng, rates):
     s_b, x_b = _precoded_frame(cfg, rng.child(4).generator,
                                cfg.train_symbols + cfg.frame_symbols, dl.v)
     xt_b, z_b = tx_chain(x_b, gains_b)
-    si_cov = (residual_si_cov(h_si_eff, g1_b * dl.v,
-                              _data_bins(cfg, z_b[:, pay])) if rates else None)
+    si_cov = (residual_si_cov(h_si_eff, g1_b * dl.v, data_bins(
+        z_b[:, pay], nc, cfg.cp_len, data)) if rates else None)
     del z_b
     dl_rate = (_dl_rate(cfg, xt_b, h_dl, dl.u, s_b[cfg.train_symbols:],
                         rng.child(7).generator) if rates else np.nan)
@@ -244,7 +240,7 @@ def _adc(cfg, y, cols=slice(None)):
 
 
 def _dl_rate(cfg, xt, h_dl, u, s, gen):
-    """Downlink rate of the frame xt whose last symbols carry s (sym, nc, d),
+    """Downlink rate of the frame xt whose last symbols carry s (sym, nd, d),
     received with noise from gen and combined by u."""
     y_m1 = apply_channel(xt, h_dl)
     y_m1 += complex_normal(gen, (cfg.n_rx_m1, xt.shape[1]), cfg.sigma_m1_w)
@@ -368,7 +364,7 @@ def run_frame(cfg, rng, stages="full", run_id=0, sweep_point="",
     d_corr, d_lin, rec.tsvd_rank = _digital_cancel(cfg, x_b, y_q[:, :n_train])
     del x_b
     if rates:                          # before _shadow sums into d_corr
-        d_cov = bin_cov(_data_bins(cfg, d_corr))
+        d_cov = bin_cov(data_bins(d_corr, cfg.nc, cfg.cp_len, cfg.data_idx))
         np.add(y_q[:, pay], d_corr, out=y_q[:, pay])
     _shadow(cfg, rec, mid, d_corr, d_lin, p_before, p_mid, p_si)
     if stages == "digital":

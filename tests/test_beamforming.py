@@ -23,7 +23,7 @@ G1 = np.sqrt(dbm_to_linear(30.0) / 4)   # per-antenna amplitude at 30 dBm
 
 def full_bins(nc, data_idx, per_bin):
     """Scatter per-data-bin values (nd, ...) into all nc bins, zero elsewhere:
-    the full-bin precoder the every-try search modulates with."""
+    the full-bin precoders and symbols the every-try search modulates."""
     out = np.zeros((nc,) + per_bin.shape[1:], dtype=complex)
     out[data_idx] = per_bin
     return out
@@ -83,8 +83,8 @@ def test_dl_precoder_columns_orthonormal_and_null_bins_zero():
     # the solution holds the data bins only; a frame it precodes carries
     # nothing on the null bins
     assert sol.u.shape == (len(DATA), 2, sol.alpha)
-    s = draw_symbols(gen, 3, NC, DATA, sol.alpha)
-    yf = ofdm_demodulate(ofdm_modulate(s, v, CP, DATA), NC, CP)
+    s = draw_symbols(gen, 3, len(DATA), sol.alpha)
+    yf = ofdm_demodulate(ofdm_modulate(s, v, CP, (NC, DATA)), NC, CP)
     null = np.setdiff1d(np.arange(NC), DATA)
     assert np.max(np.abs(yf[:, null])) <= 1e-12 * np.max(np.abs(yf))
 
@@ -178,8 +178,10 @@ def _solve_dl_every_try(h_si_eff_f, h_dl_f, gains_b, g1, lambda_b_w, nc,
         null_basis = vr[:, :, n_tx - alpha:]
         um, _, fm = numerics.svd(h_dl_f @ null_basis)
         v = null_basis @ fm
-        s = draw_symbols(probe_gen, PROBE_SYMBOLS, nc, data_idx, alpha)
-        x = ofdm_modulate(s, full_bins(nc, data_idx, v), cp_len)
+        s = draw_symbols(probe_gen, PROBE_SYMBOLS, len(data_idx), alpha)
+        x = ofdm_modulate(full_bins(nc, data_idx, s.transpose(1, 0, 2)
+                                    ).transpose(1, 0, 2),
+                          full_bins(nc, data_idx, v), cp_len)
         _, z = tx_chain(x, gains_b)
         zf = ofdm_demodulate(z, nc, cp_len)[:, data_idx, :].transpose(1, 2, 0)
         cov = residual_si_cov(h_si_eff_f, g1 * v, zf)

@@ -467,8 +467,9 @@ def test_long_frame_campaign_parallel_matches_serial(tmp_path):
     # ADC, 80 MB with the distortion covariances taken after each TX chain,
     # the downlink rate after the SI convolutions and the half-duplex
     # baseline last, 70 MB with the uplink sent first and the downlink rate
-    # taken before the SI convolutions; the bound sits about two frame-long
-    # (4 x 144672) arrays above 70 MB
+    # taken before the SI convolutions, 60 MB with OFDM modulation writing
+    # its frame in place; the bound sat about two frame-long (4 x 144672)
+    # arrays above 70 MB
     pytest.param("lte20", "full", 90e6, id="full"),
     # nr100 `digital`, the largest preset (its payload carries 1620 data
     # bins): 111 MB before the arrays were reduced where they are made,

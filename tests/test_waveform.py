@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fdlink.config_units import SystemConfig, complex_normal, preset
-from fdlink.waveform import (ROW_BLOCK, draw_symbols, frame_power, map_qam16,
+from fdlink.waveform import (ROW_BLOCK, data_bins, draw_symbols, frame_power,
                              ofdm_demodulate, ofdm_modulate)
 
 
@@ -28,28 +28,48 @@ def test_constellation_unit_power():
     assert len(np.unique(np.round(c, 12))) == 16
 
 
-def test_map_qam16_draws_from_alphabet():
+def test_draw_symbols_data_bins_from_alphabet():
+    cfg = SystemConfig()
     gen = np.random.default_rng(1)
-    s = map_qam16(gen, (1000,))
+    s = draw_symbols(gen, 10, len(cfg.data_idx), 2)
+    assert s.shape == (10, 52, 2)
     alphabet = set(np.round(qam16_constellation(), 12))
-    assert set(np.round(s, 12)) <= alphabet
+    assert set(np.round(s.ravel(), 12)) <= alphabet
+    assert np.all(s != 0)
     assert np.mean(np.abs(s) ** 2) == pytest.approx(1.0, rel=0.1)
 
 
-def test_draw_symbols_null_bins():
-    cfg = SystemConfig()
-    gen = np.random.default_rng(2)
-    s = draw_symbols(gen, 3, cfg.nc, cfg.data_idx, 2)
-    assert s.shape == (3, 64, 2)
-    null = np.setdiff1d(np.arange(64), cfg.data_idx)
-    assert np.all(s[:, null, :] == 0)
-    assert np.all(s[:, cfg.data_idx, :] != 0)
+def _zero_padded_draw(gen, n_symbols, nc, data_idx, d):
+    """The symbol draw as it was: a (n_symbols, nc, d) block with zeros on
+    the null bins, the data bins filled with Re + 1j Im from one Re draw and
+    then one Im draw."""
+    levels = np.array([-3.0, -1.0, 1.0, 3.0]) / np.sqrt(10.0)
+    shape = (n_symbols, len(data_idx), d)
+    re = levels[gen.integers(0, 4, size=shape)]
+    im = levels[gen.integers(0, 4, size=shape)]
+    s = np.zeros((n_symbols, nc, d), dtype=complex)
+    s[:, data_idx, :] = re + 1j * im
+    return s
+
+
+@pytest.mark.parametrize("name,n_symbols,d", [("wifi20", 3, 2),
+                                              ("lte20", 4, 1),
+                                              ("nr100", 2, 3)])
+def test_draw_symbols_bytes_equal_the_zero_padded_draw(name, n_symbols, d):
+    # the same generator gives the same data-bin symbols, and leaves the
+    # same state for the draws after it
+    cfg = preset(name)
+    gen, old_gen = np.random.default_rng(8), np.random.default_rng(8)
+    got = draw_symbols(gen, n_symbols, len(cfg.data_idx), d)
+    want = _zero_padded_draw(old_gen, n_symbols, cfg.nc, cfg.data_idx, d)
+    assert got.tobytes() == want[:, cfg.data_idx, :].tobytes()
+    assert gen.integers(0, 1 << 30) == old_gen.integers(0, 1 << 30)
 
 
 def test_modulate_demodulate_round_trip():
     cfg = SystemConfig()
     gen = np.random.default_rng(3)
-    s = draw_symbols(gen, 4, cfg.nc, cfg.data_idx, 3)
+    s = draw_symbols(gen, 4, cfg.nc, 3)
     x = ofdm_modulate(s, _identity_precoder(cfg.nc, 3), cfg.cp_len)
     assert x.shape == (3, 4 * (64 + 16))
     back = ofdm_demodulate(x, cfg.nc, cfg.cp_len)
@@ -62,7 +82,7 @@ def test_unitary_power_preservation():
     # so the cp-inclusive time average equals the body average)
     cfg = SystemConfig()
     gen = np.random.default_rng(4)
-    s = draw_symbols(gen, 10, cfg.nc, cfg.data_idx, 1)
+    s = draw_symbols(gen, 10, cfg.nc, 1)
     x = ofdm_modulate(s, _identity_precoder(cfg.nc, 1), 0)
     p_time = frame_power(x)[0]
     p_freq = np.mean(np.sum(np.abs(s[:, :, 0]) ** 2, axis=1)) / cfg.nc
@@ -88,7 +108,8 @@ def test_modulate_equals_einsum_oracle(cp_len):
     gen = np.random.default_rng(6)
     v = (gen.standard_normal((nc, n_tx, d))
          + 1j * gen.standard_normal((nc, n_tx, d)))
-    s = draw_symbols(gen, n_sym, nc, np.arange(1, 21), d)
+    s = np.zeros((n_sym, nc, d), dtype=complex)
+    s[:, 1:21] = draw_symbols(gen, n_sym, 20, d)
     xt = np.fft.ifft(np.einsum("ntd,snd->snt", v, s), axis=1, norm="ortho")
     xt = np.concatenate([xt[:, nc - cp_len:, :], xt], axis=1)
     want = xt.transpose(2, 0, 1).reshape(n_tx, n_sym * (nc + cp_len))
@@ -108,16 +129,29 @@ def _full_bins(nc, data_idx, per_bin):
 @pytest.mark.parametrize("cp_len", [0, None])
 def test_modulate_data_bins_equal_full_bin_precoder(name, cp_len):
     # the data-bin path precodes only the data bins; its frame has the bytes
-    # of the full-bin precoder with zeros on the null bins
+    # of the full-bin precoder and symbols with zeros on the null bins
     cfg = preset(name)
     cp_len = cfg.cp_len if cp_len is None else cp_len
     gen = np.random.default_rng(3)
     v = complex_normal(gen, (len(cfg.data_idx), 4, 3))[:, :, ::-1]
-    s = draw_symbols(gen, 3, cfg.nc, cfg.data_idx, 3)
-    got = ofdm_modulate(s, v, cp_len, cfg.data_idx)
-    want = ofdm_modulate(s, _full_bins(cfg.nc, cfg.data_idx, v), cp_len)
+    s = draw_symbols(gen, 3, len(cfg.data_idx), 3)
+    got = ofdm_modulate(s, v, cp_len, (cfg.nc, cfg.data_idx))
+    s_full = np.zeros((3, cfg.nc, 3), dtype=complex)
+    s_full[:, cfg.data_idx] = s
+    want = ofdm_modulate(s_full, _full_bins(cfg.nc, cfg.data_idx, v), cp_len)
     assert got.shape == want.shape == (4, 3 * (cfg.nc + cp_len))
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", ["wifi20", "lte20"])
+def test_data_bins_equal_the_demodulated_data_bins(name):
+    cfg = preset(name)
+    y = complex_normal(np.random.default_rng(9),
+                       (3, 5 * (cfg.nc + cfg.cp_len)))
+    got = data_bins(y, cfg.nc, cfg.cp_len, cfg.data_idx)
+    want = ofdm_demodulate(y, cfg.nc, cfg.cp_len)[:, cfg.data_idx, :]
+    assert got.shape == (len(cfg.data_idx), 3, 5)
+    assert np.array_equal(got, want.transpose(1, 2, 0))
 
 
 def test_modulate_shape_mismatch_raises():
@@ -125,6 +159,10 @@ def test_modulate_shape_mismatch_raises():
     v = np.zeros((16, 4, 3), dtype=complex)
     with pytest.raises(ValueError):
         ofdm_modulate(s, v, 4)
+    # data-bin symbols and precoders that do not match the data bins
+    v = np.zeros((16, 4, 2), dtype=complex)
+    with pytest.raises(ValueError):
+        ofdm_modulate(s, v, 4, (32, np.arange(1, 16)))
 
 
 def test_demodulate_bad_length_raises():
