@@ -28,15 +28,30 @@ def test_constellation_unit_power():
     assert len(np.unique(np.round(c, 12))) == 16
 
 
-def test_draw_symbols_data_bins_from_alphabet():
-    cfg = SystemConfig()
+def test_map_qam16_draws_from_alphabet():
+    # the 16-QAM map lives in draw_symbols
     gen = np.random.default_rng(1)
-    s = draw_symbols(gen, 10, len(cfg.data_idx), 2)
-    assert s.shape == (10, 52, 2)
+    s = draw_symbols(gen, 1000, 1, 1).ravel()
     alphabet = set(np.round(qam16_constellation(), 12))
-    assert set(np.round(s.ravel(), 12)) <= alphabet
-    assert np.all(s != 0)
+    assert set(np.round(s, 12)) <= alphabet
     assert np.mean(np.abs(s) ** 2) == pytest.approx(1.0, rel=0.1)
+
+
+def test_draw_symbols_null_bins():
+    # the block holds the data bins only; the null bins exist only in the
+    # modulated frame, where they carry nothing
+    cfg = SystemConfig()
+    gen = np.random.default_rng(2)
+    s = draw_symbols(gen, 3, len(cfg.data_idx), 2)
+    assert s.shape == (3, 52, 2)
+    assert np.all(s != 0)
+    x = ofdm_modulate(s, _identity_precoder(len(cfg.data_idx), 2),
+                      cfg.cp_len, (cfg.nc, cfg.data_idx))
+    back = ofdm_demodulate(x, cfg.nc, cfg.cp_len)
+    assert back.shape == (3, 64, 2)
+    null = np.setdiff1d(np.arange(64), cfg.data_idx)
+    assert np.allclose(back[:, null, :], 0, atol=1e-12)
+    assert np.allclose(back[:, cfg.data_idx, :], s, atol=1e-12)
 
 
 def _zero_padded_draw(gen, n_symbols, nc, data_idx, d):
